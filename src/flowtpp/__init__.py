@@ -26,8 +26,6 @@ from .sampler import (
     generate,
     init_noise,
     predictions_to_sequences,
-    step_mark,
-    step_time,
 )
 from .synthgen import HawkesSpec, simulate_hawkes, simulate_poisson
 
@@ -62,8 +60,6 @@ __all__ = [
     "simulate_poisson",
     "smape",
     "split_window",
-    "step_mark",
-    "step_time",
     "to_inter_event",
     "train",
     "__version__",

@@ -188,14 +188,24 @@ def cmd_train(args) -> int:
 # ---- sample -----------------------------------------------------------------
 
 
-def _sampler_config_from(args, config: dict, seed: int) -> SamplerConfig:
+# noise-policy keys a sampler section may repeat; the checkpoint decides them
+_NOISE_POLICY_KEYS = ("rate_mode", "manual_rate", "pi0_mode")
+
+
+def _sampler_config_from(args, config: dict, seed: int,
+                         model_cfg: ModelConfig) -> SamplerConfig:
+    for key in _NOISE_POLICY_KEYS:
+        value = _pick(None, config, "sampler", key, None)
+        if value is not None and value != getattr(model_cfg, key):
+            raise ValidationError(
+                f"config sampler.{key}={value!r} disagrees with the checkpoint's "
+                f"model.{key}={getattr(model_cfg, key)!r}; sampling uses the "
+                f"noise policy the model was trained with"
+            )
     return SamplerConfig(
         steps=int(_pick(args.steps, config, "sampler", "steps", 8)),
         eps_time=float(_pick(None, config, "sampler", "eps_time", 1e-6)),
         eps_prob=float(_pick(None, config, "sampler", "eps_prob", 1e-5)),
-        rate_mode=_pick(None, config, "sampler", "rate_mode", "context"),
-        manual_rate=float(_pick(None, config, "sampler", "manual_rate", 1.0)),
-        pi0_mode=_pick(None, config, "sampler", "pi0_mode", "uniform"),
         chunk_size=int(_pick(None, config, "sampler", "chunk_size", 256)),
         seed=seed,
     )
@@ -212,7 +222,7 @@ def cmd_sample(args) -> int:
         raise ValidationError(
             f"no sequence in {args.data} is longer than horizon {horizon}"
         )
-    scfg = _sampler_config_from(args, config, seed)
+    scfg = _sampler_config_from(args, config, seed, model.config)
     samples = generate(model, windows, scfg)
     preds = predictions_to_sequences(samples, model.config.vocab_size)
     save_jsonl(args.out, preds, model.config.vocab_size, seed=seed)

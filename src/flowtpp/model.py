@@ -175,12 +175,8 @@ class Model:
 
     # ---- context encoding -------------------------------------------------
 
-    def encode_contexts(self, contexts) -> nn.Tensor:
-        """Run the GRU over each context; returns final hidden states (B, d).
-
-        Variable lengths are handled by padding and a freeze mask, so padded
-        steps leave the hidden state bit-identical.
-        """
+    def _pad_contexts(self, contexts) -> tuple:
+        """Checked GRU inputs: marks and log1p gaps padded to (B, T), lengths (B,)."""
         cfg = self.config
         if not contexts:
             raise ValidationError("encode_contexts needs at least one context")
@@ -191,14 +187,23 @@ class Model:
                 )
             if len(c) < 1:
                 raise ValidationError("context must contain at least one event")
-        b = len(contexts)
         lens = np.array([len(c) for c in contexts])
-        maxlen = int(lens.max())
-        marks = np.zeros((b, maxlen), dtype=np.int64)
-        logdts = np.zeros((b, maxlen))
+        marks = np.zeros((len(contexts), int(lens.max())), dtype=np.int64)
+        logdts = np.zeros(marks.shape)
         for i, c in enumerate(contexts):
             marks[i, : lens[i]] = c.marks
             logdts[i, : lens[i]] = np.log1p(c.inter_times)
+        return marks, logdts, lens
+
+    def encode_contexts(self, contexts) -> nn.Tensor:
+        """Run the GRU over each context; returns final hidden states (B, d).
+
+        Variable lengths are handled by padding and a freeze mask, so padded
+        steps leave the hidden state bit-identical.
+        """
+        cfg = self.config
+        marks, logdts, lens = self._pad_contexts(contexts)
+        b, maxlen = marks.shape
         uniform = bool((lens == maxlen).all())
         active = (np.arange(maxlen)[None, :] < lens[:, None]).astype(np.float64)
 
@@ -220,6 +225,45 @@ class Model:
 
     def encode_context(self, context: EventSequence) -> nn.Tensor:
         return self.encode_contexts([context])
+
+    def encode_plain(self, contexts) -> np.ndarray:
+        """encode_contexts on plain arrays, with no tape; returns (B, d).
+
+        The GRU input projections of all steps are one matmul ahead of the
+        recurrence, with the z/r/h gates side by side. Rows are visited
+        longest context first, so step k updates only the rows still inside
+        their context, and padded steps leave h bit-identical.
+        """
+        p = self.store
+        marks, logdts, lens = self._pad_contexts(contexts)
+        order = np.argsort(-lens, kind="stable")
+        marks, logdts = marks[order].T, logdts[order].T
+        live = (lens[order][None, :] > np.arange(marks.shape[0])[:, None]).sum(axis=1)
+        e_time = (logdts[..., None] * p["time_embed.0.W"].data[0]
+                  + p["time_embed.0.b"].data)
+        feats = np.concatenate([p["mark_embed.table"].data[marks], e_time], axis=2)
+        w_in = np.concatenate([p[f"enc.W{g}"].data for g in "zrh"], axis=1)
+        b_in = np.concatenate([p[f"enc.b{g}"].data for g in "zrh"])
+        gates = feats.reshape(-1, feats.shape[2]) @ w_in
+        gates += b_in
+        gates = gates.reshape(*marks.shape, -1)
+        d = self.config.d
+        u_zr = np.concatenate([p["enc.Uz"].data, p["enc.Ur"].data], axis=1)
+        u_h = p["enc.Uh"].data
+        h = np.zeros((len(lens), d))
+        for k, n in enumerate(live):
+            g, h_k = gates[k, :n], h[:n]
+            zr = h_k @ u_zr
+            zr += g[:, : 2 * d]
+            zr = 1.0 / (1.0 + np.exp(-zr))
+            z, r = zr[:, :d], zr[:, d:]
+            cand = (r * h_k) @ u_h
+            cand += g[:, 2 * d :]
+            np.tanh(cand, out=cand)
+            h[:n] = (1.0 - z) * h_k + z * cand
+        out = np.empty_like(h)
+        out[order] = h
+        return out
 
     # ---- rate / base-mark-distribution policy ------------------------------
 
@@ -266,10 +310,63 @@ class Model:
         logits = nn.mlp_forward(self.store, feats, self._head_sizes, prefix="head")
         return v, logits
 
-    def predict(self, x_t, y_t, t, h_rows) -> tuple:
-        """Forward pass returning plain arrays (v (n,), logits (n,M))."""
-        v, logits = self.forward(x_t, y_t, t, h_rows)
-        return v.data.ravel(), logits.data
+    # ---- inference: plain arrays, no tape ------------------------------------
+    #
+    # Both networks read concat([x, onehot(y), phi(t), h_c]), so their first
+    # layers split into x*W_x + W_y[y] + phi(t) @ W_t + (h_c @ W_h + b). The
+    # bracket is fixed for a window; project_contexts computes it once.
+
+    def _first_layer_rows(self) -> tuple:
+        """Row ranges of the first-layer weights: (W_y, W_t); W_x is row 0
+        and W_h the rows after W_t."""
+        m = self.config.vocab_size
+        return slice(1, m + 1), slice(m + 1, m + 1 + self.config.t_embed_dim)
+
+    def project_contexts(self, contexts) -> np.ndarray:
+        """Context term of both first layers, biases included: (B, Hv + Hh),
+        vf columns first, from a tape-free encoding."""
+        _, t_rows = self._first_layer_rows()
+        w1 = [self.store[f"{net}.0.W"].data[t_rows.stop :] for net in ("vf", "head")]
+        b1 = [self.store[f"{net}.0.b"].data for net in ("vf", "head")]
+        out = self.encode_plain(contexts) @ np.concatenate(w1, axis=1)
+        out += np.concatenate(b1)
+        return out
+
+    def predict(self, x_t, y_t, t, proj_rows, marks: bool = True) -> tuple:
+        """Tape-free forward on plain arrays: (v (n,), logits (n, M)).
+
+        proj_rows is project_contexts gathered to one row per sample; t is a
+        scalar or one flow time per row. With marks=False only the vector
+        field runs and logits is None.
+        """
+        cfg = self.config
+        x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
+        y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
+        if np.any(y_t < 0) or np.any(y_t >= cfg.vocab_size):
+            raise ValidationError("mark out of vocabulary in predict input")
+        nets = [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
+        w1 = [self.store[f"{net}.0.W"].data for net, _ in nets]
+        y_rows, t_rows = self._first_layer_rows()
+        w_y = np.concatenate([w[y_rows] for w in w1], axis=1)
+        phi_w = sinusoidal_features(t, cfg.t_embed_dim) @ np.concatenate(
+            [w[t_rows] for w in w1], axis=1)
+        a = np.multiply.outer(x_t, np.concatenate([w[0] for w in w1]))
+        a += proj_rows[:, : a.shape[1]]
+        if np.ndim(t) == 0:
+            a += (w_y + phi_w)[y_t]
+        else:
+            a += w_y[y_t]
+            a += phi_w
+        outs, lo = [], 0
+        for net, sizes in nets:
+            h = a[:, lo : lo + sizes[1]]
+            lo += sizes[1]
+            for i in range(1, len(sizes) - 1):
+                np.tanh(h, out=h)
+                h = h @ self.store[f"{net}.{i}.W"].data
+                h += self.store[f"{net}.{i}.b"].data
+            outs.append(h)
+        return outs[0].ravel(), outs[1] if marks else None
 
     # ---- flow-path construction ---------------------------------------------
 

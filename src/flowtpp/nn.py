@@ -32,7 +32,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Node in the autodiff tape: float64 data, optional grad, parent links."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=(),
                  backward: Optional[Callable[[], None]] = None):
@@ -255,15 +256,26 @@ def _toposort(root: Tensor):
 
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss; grads accumulate on leaves."""
+    """Reverse-mode sweep from a scalar loss; grads accumulate on leaves.
+
+    The sweep consumes the tape: afterwards the visited nodes keep their
+    data and grads but no longer link to parents, so a second backward from
+    the same loss reaches only the loss itself.
+    """
     if loss.data.size != 1:
         raise ValidationError(f"backward needs a scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NumericalError("non-finite loss; aborting backward")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_toposort(loss)):
+    order = _toposort(loss)
+    for node in reversed(order):
         if node._backward is not None:
             node._backward()
+    # every closure holds its own output tensor (out._backward -> out); cut
+    # those cycles so the tape is freed by reference counting, not by the GC
+    for node in order:
+        node._backward = None
+        node._parents = ()
 
 
 class ParamStore:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .events import EventSequence
-from .model import Model, estimate_lambda, estimate_pi0
+from .model import Model
 from .nn import softmax
 from .synthgen import categorical
 
@@ -28,12 +28,12 @@ _T_SINGULARITY = 1e-9
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Integration settings. The noise policy (rate and base mark
+    distribution) is the model's own, saved with its checkpoint."""
+
     steps: int = 8
     eps_time: float = 1e-6
     eps_prob: float = 1e-5
-    rate_mode: str = "context"
-    manual_rate: float = 1.0
-    pi0_mode: str = "uniform"
     seed: int = 0
     chunk_size: int = 256
 
@@ -42,12 +42,6 @@ class SamplerConfig:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not (self.eps_time > 0 and self.eps_prob > 0):
             raise ValidationError("eps_time and eps_prob must be positive")
-        if self.rate_mode not in ("context", "manual"):
-            raise ValidationError(f"unknown rate_mode {self.rate_mode!r}")
-        if self.rate_mode == "manual" and not self.manual_rate > 0:
-            raise ValidationError("manual_rate must be positive")
-        if self.pi0_mode not in ("uniform", "context"):
-            raise ValidationError(f"unknown pi0_mode {self.pi0_mode!r}")
         if self.chunk_size < 1:
             raise ValidationError("chunk_size must be >= 1")
 
@@ -72,16 +66,6 @@ def _check_finite(values: np.ndarray, t: float, what: str):
         raise NumericalError(f"non-finite {what} at flow time t={t:.6f}")
 
 
-def step_time(model, x, y, t, h, h_rows, eps_time: float = 1e-6) -> np.ndarray:
-    """One midpoint step on the times, projected onto [eps_time, inf)."""
-    v0, _ = model.predict(x, y, t, h_rows)
-    _check_finite(v0, t, "vector field")
-    x_mid = np.maximum(x + 0.5 * h * v0, eps_time)
-    v_mid, _ = model.predict(x_mid, y, t + 0.5 * h, h_rows)
-    _check_finite(v_mid, t + 0.5 * h, "vector field")
-    return np.maximum(x + h * v_mid, eps_time)
-
-
 def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
                eps_prob: float = 1e-5) -> np.ndarray:
     """Clamped simplex-velocity update; returns the normalized redraw
@@ -102,15 +86,6 @@ def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
     return p_new / p_new.sum(axis=1, keepdims=True)
 
 
-def step_mark(model, x, y, t, h, h_rows, rng: np.random.Generator,
-              eps_prob: float = 1e-5) -> np.ndarray:
-    """One mark redraw from the clamped simplex update."""
-    _, logits = model.predict(x, y, t, h_rows)
-    _check_finite(logits, t, "mark logits")
-    p_new = mark_probs(logits, np.asarray(y, dtype=np.int64), t, h, eps_prob)
-    return categorical_rows(p_new, rng)
-
-
 def categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row of a (n, M) probability matrix."""
     cdf = np.cumsum(probs, axis=1)
@@ -119,14 +94,48 @@ def categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
 
+def flow_step(model, x, y, t: float, proj_rows, streams,
+              config: SamplerConfig) -> tuple:
+    """One joint step from flow time t to t + h; returns the new (x, y).
+
+    One full evaluation at (x, y, t) gives the field and the mark logits; a
+    vector-field-only evaluation at the midpoint gives the time update,
+    projected onto [eps_time, inf). Marks are redrawn from the pre-midpoint
+    logits, rows [lo, hi) from generator rng for each (lo, hi, rng) in
+    streams. Both evaluations are Model.predict, which builds no tape.
+    """
+    h = config.h
+    v0, logits = model.predict(x, y, t, proj_rows)
+    _check_finite(v0, t, "vector field")
+    _check_finite(logits, t, "mark logits")
+    x_mid = np.maximum(x + 0.5 * h * v0, config.eps_time)
+    v_mid, _ = model.predict(x_mid, y, t + 0.5 * h, proj_rows, marks=False)
+    _check_finite(v_mid, t + 0.5 * h, "vector field")
+    x = np.maximum(x + h * v_mid, config.eps_time)
+
+    p_new = mark_probs(logits, y, t, h, config.eps_prob)
+    y = np.concatenate([categorical_rows(p_new[lo:hi], rng) for lo, hi, rng in streams])
+
+    x_ok = bool((x >= config.eps_time).all())
+    p_ok = bool(
+        np.all(np.abs(p_new.sum(axis=1) - 1.0) < 1e-12)
+        and np.all(p_new >= 0)
+    )
+    y_ok = bool(((y >= 0) & (y < logits.shape[1])).all())
+    INVARIANT_COUNTS["checks"] += 3
+    INVARIANT_COUNTS["violations"] += (not x_ok) + (not p_ok) + (not y_ok)
+    assert x_ok, "positivity violated: inter-time below eps_time"
+    assert p_ok, "simplex violated: redraw distribution not normalized"
+    assert y_ok, "mark out of range after redraw"
+    return x, y
+
+
 def generate(model: Model, windows, config: SamplerConfig) -> list:
     """Sample L future (inter-time, mark) pairs for each forecast window.
 
-    Per window w (global index i): h_c = encode(context); noise from stream
-    [seed, 3, i]; then S joint steps. Each step evaluates the model once at
-    (x, y, t) for the vector field and the mark logits, re-evaluates the
-    field at the midpoint for the time update, and redraws marks from the
-    pre-midpoint logits.
+    Per window w (global index i): the context term of the networks is
+    projected once (Model.project_contexts); noise from stream [seed, 3, i]
+    at the model's rate and base mark distribution; then S flow_steps.
     """
     if not windows:
         return []
@@ -136,62 +145,31 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
             raise ValidationError(
                 f"window vocab_size {w.vocab_size} != checkpoint {m}"
             )
-    h = config.h
     out = []
     for chunk_start in range(0, len(windows), config.chunk_size):
         chunk = windows[chunk_start : chunk_start + config.chunk_size]
-        h_chunk = model.encode_contexts([w.context for w in chunk]).data
+        proj = model.project_contexts([w.context for w in chunk])
         horizons = [w.horizon for w in chunk]
         rngs = [
             np.random.default_rng([config.seed, 3, chunk_start + j])
             for j in range(len(chunk))
         ]
         xs, ys = [], []
-        for j, w in enumerate(chunk):
-            if config.rate_mode == "manual":
-                lam = config.manual_rate
-            else:
-                lam = estimate_lambda(w.context, model.config.lambda_min)
-            if config.pi0_mode == "uniform":
-                pi0 = np.full(m, 1.0 / m)
-            else:
-                pi0 = estimate_pi0(w.context, m)
-            x_j, y_j = init_noise(config, lam, pi0, horizons[j], rngs[j])
+        for w, rng in zip(chunk, rngs):
+            x_j, y_j = init_noise(config, model.window_rate(w.context),
+                                  model.window_pi0(w.context), w.horizon, rng)
             xs.append(x_j)
             ys.append(y_j)
         x = np.concatenate(xs)
         y = np.concatenate(ys)
-        h_rows = np.repeat(h_chunk, horizons, axis=0)
+        proj_rows = np.repeat(proj, horizons, axis=0)
         bounds = np.cumsum([0] + horizons)
+        streams = list(zip(bounds[:-1], bounds[1:], rngs))
 
         t = 0.0
         for _ in range(config.steps):
-            v0, logits0 = model.predict(x, y, t, h_rows)
-            _check_finite(v0, t, "vector field")
-            _check_finite(logits0, t, "mark logits")
-            x_mid = np.maximum(x + 0.5 * h * v0, config.eps_time)
-            v_mid, _ = model.predict(x_mid, y, t + 0.5 * h, h_rows)
-            _check_finite(v_mid, t + 0.5 * h, "vector field")
-            x = np.maximum(x + h * v_mid, config.eps_time)
-
-            p_new = mark_probs(logits0, y, t, h, config.eps_prob)
-            y = np.concatenate([
-                categorical_rows(p_new[lo:hi], rngs[j])
-                for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-            ])
-            t += h
-
-            x_ok = bool((x >= config.eps_time).all())
-            p_ok = bool(
-                np.all(np.abs(p_new.sum(axis=1) - 1.0) < 1e-12)
-                and np.all(p_new >= 0)
-            )
-            y_ok = bool(((y >= 0) & (y < m)).all())
-            INVARIANT_COUNTS["checks"] += 3
-            INVARIANT_COUNTS["violations"] += (not x_ok) + (not p_ok) + (not y_ok)
-            assert x_ok, "positivity violated: inter-time below eps_time"
-            assert p_ok, "simplex violated: redraw distribution not normalized"
-            assert y_ok, "mark out of range after redraw"
+            x, y = flow_step(model, x, y, t, proj_rows, streams, config)
+            t += config.h
         assert abs(t - 1.0) <= 1e-12, f"flow time ended at {t!r}, expected 1"
 
         for lo, hi in zip(bounds[:-1], bounds[1:]):

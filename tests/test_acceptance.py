@@ -209,8 +209,8 @@ def test_criterion_2_overfit_fixed_batch():
         nn.adam_step(model.store, lr=3e-3)
     final = float(total.data)
 
-    h_rows = model.encode_contexts(contexts).data[batch.window_idx]
-    _, logits = model.predict(batch.x_t, batch.y_t, batch.t, h_rows)
+    proj_rows = model.project_contexts(contexts)[batch.window_idx]
+    _, logits = model.predict(batch.x_t, batch.y_t, batch.t, proj_rows)
     accuracy = float((logits.argmax(axis=1) == batch.y1).mean())
     elapsed = time.time() - t0
     ok = final < 0.01 * initial and accuracy == 1.0 and elapsed < 120.0

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from flowtpp import Model, ModelConfig, load_jsonl
+from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
+                     make_windows)
 from flowtpp.cli import main
 
 SMALL_MODEL = {
@@ -169,6 +170,73 @@ class TestSample:
         assert rc == 0
         truths = load_jsonl(truth)
         assert len(truths) == 8 and all(len(t) == 4 for t in truths)
+
+
+@pytest.fixture(scope="module")
+def context_checkpoint(workdir, data_path):
+    """A model trained with mark noise drawn from the context's mark
+    frequencies rather than uniformly."""
+    cfg = workdir / "context_pi0.json"
+    cfg.write_text(json.dumps({"model": dict(SMALL_MODEL, pi0_mode="context")}))
+    path = workdir / "context_model.json"
+    rc = main(["train", "--data", data_path, "--out", str(path),
+               "--config", str(cfg), "--epochs", "2", "--batch-size", "4",
+               "--horizon", "4", "--seed", "5"])
+    assert rc == 0
+    return str(path)
+
+
+class TestSampleNoisePolicy:
+    """Sampling draws its noise by the checkpoint's policy; a sampler config
+    section may repeat a policy key but not contradict it."""
+
+    def sample(self, out, checkpoint, data_path, config=None, tmp_path=None):
+        argv = ["sample", "--checkpoint", checkpoint, "--data", data_path,
+                "--out", str(out), "--steps", "2", "--seed", "5"]
+        if config is not None:
+            path = tmp_path / "sampler.json"
+            path.write_text(json.dumps({"sampler": config}))
+            argv += ["--config", str(path)]
+        return main(argv)
+
+    def test_context_pi0_checkpoint_samples_with_context_pi0(
+            self, tmp_path, context_checkpoint, data_path):
+        out = tmp_path / "pred.jsonl"
+        assert self.sample(out, context_checkpoint, data_path) == 0
+        model = Model.from_checkpoint(context_checkpoint)
+        assert model.config.pi0_mode == "context"
+        windows = make_windows(load_jsonl(data_path), 4)
+        cfg = SamplerConfig(steps=2, seed=5)
+        want = generate(model, windows, cfg)
+        uniform = Model(ModelConfig.from_dict(
+            dict(model.config.to_dict(), pi0_mode="uniform")), init=False)
+        uniform.store.load_state(model.store.state_dict())
+        other = generate(uniform, windows, cfg)
+        preds = load_jsonl(out)
+        assert len(preds) == len(want)
+        for p, (x, y) in zip(preds, want):
+            np.testing.assert_array_equal(p.inter_times, x)
+            np.testing.assert_array_equal(p.marks, y)
+        # the policy shows in the output: uniform mark noise samples otherwise
+        assert any(not np.array_equal(p.inter_times, x)
+                   for p, (x, _) in zip(preds, other))
+
+    def test_conflicting_sampler_key_fails(self, tmp_path, context_checkpoint,
+                                           data_path, capsys):
+        rc = self.sample(tmp_path / "pred.jsonl", context_checkpoint, data_path,
+                         {"pi0_mode": "uniform"}, tmp_path)
+        assert rc == 1
+        assert "sampler.pi0_mode" in capsys.readouterr().err
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_agreeing_sampler_keys_accepted(self, tmp_path, context_checkpoint,
+                                            data_path):
+        plain, repeated = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert self.sample(plain, context_checkpoint, data_path) == 0
+        agree = {"pi0_mode": "context", "rate_mode": "context", "manual_rate": 1.0}
+        assert self.sample(repeated, context_checkpoint, data_path, agree,
+                           tmp_path) == 0
+        assert plain.read_bytes() == repeated.read_bytes()
 
 
 @pytest.fixture(scope="module")

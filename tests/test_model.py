@@ -184,19 +184,91 @@ class TestEncodeContext:
 class TestForward:
     def test_deterministic_and_shapes(self):
         model = Model(tiny_config(), seed=5)
-        h = np.zeros((4, 8))
+        ctx = EventSequence(np.array([0.5, 1.0]), np.array([0, 1]), 3)
+        proj = np.repeat(model.project_contexts([ctx]), 4, axis=0)
+        assert proj.shape == (4, 16)
         x = np.array([0.5, 1.0, 2.0, 0.1])
         y = np.array([0, 1, 2, 0])
-        v1, l1 = model.predict(x, y, 0.3, h)
-        v2, l2 = model.predict(x, y, 0.3, h)
+        v1, l1 = model.predict(x, y, 0.3, proj)
+        v2, l2 = model.predict(x, y, 0.3, proj)
         assert v1.shape == (4,) and l1.shape == (4, 3)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(l1, l2)
 
+    def test_field_only(self):
+        model = Model(tiny_config(), seed=5)
+        proj = np.zeros((2, 16))
+        v, logits = model.predict(np.ones(2), np.array([0, 2]), 0.5, proj,
+                                  marks=False)
+        assert v.shape == (2,) and logits is None
+
     def test_mark_out_of_vocab_rejected(self):
         model = Model(tiny_config(), seed=5)
         with pytest.raises(ValidationError, match="vocab"):
-            model.predict(np.ones(1), np.array([3]), 0.5, np.zeros((1, 8)))
+            model.predict(np.ones(1), np.array([3]), 0.5, np.zeros((1, 16)))
+
+
+def jittered_model(cfg, seed):
+    """A model whose biases are non-zero too, so every parameter block
+    reaches the output."""
+    model = Model(cfg, seed=seed)
+    rng = np.random.default_rng([seed, 99])
+    for t in model.store.params.values():
+        t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
+    return model
+
+
+def random_contexts(rng, n, vocab_size, max_len):
+    lens = rng.integers(1, max_len + 1, size=n)
+    return [EventSequence(rng.exponential(1.0, k), rng.integers(0, vocab_size, k),
+                          vocab_size) for k in lens]
+
+
+PARITY_TOL = 1e-12
+
+
+class TestPlainForwardParity:
+    """The tape-free inference path against the tape path it replaces at
+    inference: same values up to summation order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_encode_plain_matches_tape(self, seed):
+        rng = np.random.default_rng([seed, 1])
+        model = jittered_model(tiny_config(), seed)
+        # ragged lengths exercise the padding branch of encode_contexts
+        ctxs = random_contexts(rng, 7, 3, max_len=12)
+        want = model.encode_contexts(ctxs).data
+        got = model.encode_plain(ctxs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=PARITY_TOL)
+
+    def test_padding_leaves_hidden_state_untouched(self):
+        model = jittered_model(tiny_config(), 3)
+        short = EventSequence(np.array([0.5, 1.5]), np.array([1, 2]), 3)
+        long_ = EventSequence(np.ones(9), np.zeros(9, dtype=int), 3)
+        alone = model.encode_plain([short])
+        padded = model.encode_plain([long_, short, long_])
+        np.testing.assert_array_equal(padded[1], alone[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("hidden", [((8,), (8,)), ((8, 6), (5,)), ((), (4,))])
+    def test_predict_matches_forward(self, seed, hidden):
+        rng = np.random.default_rng([seed, 2])
+        model = jittered_model(tiny_config(vf_hidden=hidden[0],
+                                           head_hidden=hidden[1]), seed)
+        ctxs = random_contexts(rng, 5, 3, max_len=9)
+        rows = rng.integers(0, 5, size=23)
+        x = rng.exponential(1.0, 23)
+        y = rng.integers(0, 3, 23)
+        h_rows = model.encode_contexts(ctxs).take_rows(rows)
+        proj_rows = model.project_contexts(ctxs)[rows]
+        for t in (float(rng.random()), rng.random(23)):
+            v, logits = model.forward(x, y, t, h_rows)
+            v_fast, logits_fast = model.predict(x, y, t, proj_rows)
+            v_field, _ = model.predict(x, y, t, proj_rows, marks=False)
+            np.testing.assert_allclose(v_fast, v.data.ravel(), rtol=0, atol=PARITY_TOL)
+            np.testing.assert_allclose(v_field, v.data.ravel(), rtol=0, atol=PARITY_TOL)
+            np.testing.assert_allclose(logits_fast, logits.data, rtol=0,
+                                       atol=PARITY_TOL)
 
 
 def frozen_batch(model, windows, seed=0):
@@ -392,10 +464,12 @@ class TestModelCheckpoint:
         back = Model.from_checkpoint(path)
         assert back.config == model.config
         ctx = EventSequence(np.array([0.5, 1.0]), np.array([0, 1]), 3)
-        h = model.encode_context(ctx).data
         x = np.array([0.5, 0.7])
         y = np.array([0, 2])
-        va, la = model.predict(x, y, 0.4, np.repeat(h, 2, axis=0))
-        vb, lb = back.predict(x, y, 0.4, np.repeat(h, 2, axis=0))
+        proj_a = np.repeat(model.project_contexts([ctx]), 2, axis=0)
+        proj_b = np.repeat(back.project_contexts([ctx]), 2, axis=0)
+        np.testing.assert_array_equal(proj_a, proj_b)
+        va, la = model.predict(x, y, 0.4, proj_a)
+        vb, lb = back.predict(x, y, 0.4, proj_b)
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_array_equal(la, lb)

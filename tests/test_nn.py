@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +256,24 @@ class TestBackward:
         loss = (a * a).sum()  # overflows to inf
         with pytest.raises(NumericalError):
             nn.backward(loss)
+
+    def test_tape_freed_without_cyclic_gc(self, rng):
+        store = make_mlp(rng, [3, 4, 2])
+        hidden = nn.mlp_forward(store, rng.normal(size=(5, 3)), [3, 4])
+        out = hidden.tanh() @ store["mlp.1.W"] + store["mlp.1.b"]
+        loss = out.square().mean()
+        probe = weakref.ref(hidden)
+        del hidden
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert probe() is not None  # held by the loss's tape
+            nn.backward(loss)
+            del loss
+            assert probe() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_forward_deterministic(self, rng):
         store = make_mlp(rng, [3, 4, 2])

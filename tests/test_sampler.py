@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from flowtpp import (
+    EventSequence,
     Model,
     ModelConfig,
     SamplerConfig,
@@ -16,9 +19,8 @@ from flowtpp.nn import softmax
 from flowtpp.sampler import (
     INVARIANT_COUNTS,
     categorical_rows,
+    flow_step,
     mark_probs,
-    step_mark,
-    step_time,
 )
 
 
@@ -29,36 +31,82 @@ def small_windows(n, horizon=4, m=3, seed_hi=31):
 
 
 class ConstantField:
-    """Duck-typed net: fixed vector field value and flat logits."""
+    """Duck-typed net: fixed vector field value and flat logits, with the
+    model's noise policy (manual rate by default)."""
 
-    def __init__(self, v, vocab_size=3, d=1):
+    window_rate = Model.window_rate
+    window_pi0 = Model.window_pi0
+
+    def __init__(self, v, vocab_size=3, d=1, manual_rate=1.0):
         self.v = v
         self.calls = []
-        self.config = ModelConfig(vocab_size=vocab_size, horizon=4, d=d)
+        self.config = ModelConfig(vocab_size=vocab_size, horizon=4, d=d,
+                                  rate_mode="manual", manual_rate=manual_rate)
 
-    def encode_contexts(self, contexts):
-        class _H:
-            data = np.zeros((len(contexts), 1))
-        return _H()
+    def project_contexts(self, contexts):
+        return np.zeros((len(contexts), 1))
 
-    def predict(self, x, y, t, h_rows):
-        self.calls.append((np.asarray(x, dtype=float).copy(), float(t)))
-        n = len(x)
-        return np.full(n, self.v), np.zeros((n, self.config.vocab_size))
+    def logits(self, y):
+        return np.zeros((len(y), self.config.vocab_size))
+
+    def predict(self, x, y, t, proj_rows, marks=True):
+        self.calls.append((np.asarray(x, dtype=float).copy(), float(t), marks))
+        return np.full(len(x), self.v), self.logits(y)
 
 
 class TwoPhaseLogits(ConstantField):
-    """Peaked logits that flip between the main and midpoint evaluations."""
+    """Peaked logits that flip between the main and midpoint evaluations.
+    Logits come back even when marks=False, so a sampler that read the
+    midpoint's would draw mark 0."""
 
-    def predict(self, x, y, t, h_rows):
-        self.calls.append((np.asarray(x, dtype=float).copy(), float(t)))
-        n = len(x)
-        logits = np.zeros((n, self.config.vocab_size))
-        if len(self.calls) % 2 == 1:
-            logits[:, 2] = 50.0
-        else:
-            logits[:, 0] = 50.0
-        return np.zeros(n), logits
+    def logits(self, y):
+        logits = np.zeros((len(y), self.config.vocab_size))
+        logits[:, 2 if len(self.calls) % 2 == 1 else 0] = 50.0
+        return logits
+
+
+class EchoMarks(ConstantField):
+    """Logits peaked at the current marks: a one-step redraw keeps them."""
+
+    def logits(self, y):
+        logits = np.zeros((len(y), self.config.vocab_size))
+        logits[np.arange(len(y)), y] = 50.0
+        return logits
+
+
+def reference_generate(model, windows, cfg):
+    """The sampler written out on the tape path, one window at a time: S
+    midpoint steps of Model.forward, marks redrawn from the pre-midpoint
+    logits, window i drawing from stream [seed, 3, i]."""
+    h_c = model.encode_contexts([w.context for w in windows])
+    out = []
+    for i, w in enumerate(windows):
+        rng = np.random.default_rng([cfg.seed, 3, i])
+        x, y = init_noise(cfg, model.window_rate(w.context),
+                          model.window_pi0(w.context), w.horizon, rng)
+        h_rows = h_c.take_rows(np.full(w.horizon, i))
+        t = 0.0
+        for _ in range(cfg.steps):
+            v0, logits = model.forward(x, y, t, h_rows)
+            x_mid = np.maximum(x + 0.5 * cfg.h * v0.data.ravel(), cfg.eps_time)
+            v_mid, _ = model.forward(x_mid, y, t + 0.5 * cfg.h, h_rows)
+            x = np.maximum(x + cfg.h * v_mid.data.ravel(), cfg.eps_time)
+            p_new = mark_probs(logits.data, y, t, cfg.h, cfg.eps_prob)
+            y = categorical_rows(p_new, rng)
+            t += cfg.h
+        out.append((x, y))
+    return out
+
+
+def ragged_windows(n, horizon=4, m=3, seed_hi=32):
+    seqs = [simulate_poisson(1.0, [1.0 / m] * m, horizon + 1 + i % 7,
+                             seed=[seed_hi, 2, i]) for i in range(n)]
+    return make_windows(seqs, horizon)
+
+
+def one_window(n, seed=0):
+    """streams argument of flow_step for a single window of n rows."""
+    return [(0, n, np.random.default_rng(seed))]
 
 
 class TestSamplerConfig:
@@ -71,12 +119,8 @@ class TestSamplerConfig:
             SamplerConfig(steps=0)
         with pytest.raises(ValidationError):
             SamplerConfig(eps_time=0.0)
-        with pytest.raises(ValidationError):
-            SamplerConfig(rate_mode="auto")
-        with pytest.raises(ValidationError):
-            SamplerConfig(rate_mode="manual", manual_rate=-1.0)
-        with pytest.raises(ValidationError):
-            SamplerConfig(pi0_mode="empirical")
+        with pytest.raises(TypeError):
+            SamplerConfig(rate_mode="manual")
         with pytest.raises(ValidationError):
             SamplerConfig(chunk_size=0)
 
@@ -110,35 +154,42 @@ class TestStepTime:
     def test_zero_field_is_identity(self):
         net = ConstantField(0.0)
         x = np.array([0.5, 1.0, 2.0])
-        out = step_time(net, x, np.zeros(3, dtype=int), 0.0, 0.125,
-                        np.zeros((3, 1)))
+        out, _ = flow_step(net, x, np.zeros(3, dtype=int), 0.0,
+                           np.zeros((3, 1)), one_window(3), SamplerConfig(steps=8))
         np.testing.assert_array_equal(out, x)
 
     def test_negative_field_clamps_both_stages(self):
         net = ConstantField(-10.0)
-        out = step_time(net, np.array([0.1]), np.zeros(1, dtype=int), 0.0, 0.5,
-                        np.zeros((1, 1)), eps_time=1e-6)
+        out, _ = flow_step(net, np.array([0.1]), np.zeros(1, dtype=int), 0.0,
+                           np.zeros((1, 1)), one_window(1),
+                           SamplerConfig(steps=2, eps_time=1e-6))
         # midpoint state 0.1 - 2.5 and final state 0.1 - 5 both project to the floor
         assert out[0] == 1e-6
-        mid_x, mid_t = net.calls[1]
+        mid_x, mid_t, _ = net.calls[1]
         assert mid_x[0] == 1e-6 and mid_t == 0.25
 
     def test_constant_field_integrates_exactly(self):
         net = ConstantField(0.8)
         cfg = SamplerConfig(steps=8)
         x = np.array([0.3, 1.7])
+        y = np.zeros(2, dtype=int)
         t = 0.0
         for _ in range(cfg.steps):
-            x = step_time(net, x, np.zeros(2, dtype=int), t, cfg.h,
-                          np.zeros((2, 1)))
+            x, y = flow_step(net, x, y, t, np.zeros((2, 1)), one_window(2), cfg)
             t += cfg.h
         np.testing.assert_allclose(x, [1.1, 2.5], rtol=0, atol=1e-12)
 
     def test_midpoint_evaluation_times(self):
         net = ConstantField(0.0)
-        step_time(net, np.ones(1), np.zeros(1, dtype=int), 0.25, 0.125,
-                  np.zeros((1, 1)))
-        assert [t for _, t in net.calls] == [0.25, 0.3125]
+        flow_step(net, np.ones(1), np.zeros(1, dtype=int), 0.25,
+                  np.zeros((1, 1)), one_window(1), SamplerConfig(steps=8))
+        assert [t for _, t, _ in net.calls] == [0.25, 0.3125]
+
+    def test_midpoint_evaluates_field_only(self):
+        net = ConstantField(0.0)
+        flow_step(net, np.ones(2), np.zeros(2, dtype=int), 0.0,
+                  np.zeros((2, 1)), one_window(2), SamplerConfig(steps=4))
+        assert [marks for _, _, marks in net.calls] == [True, False]
 
 
 class TestMarkProbs:
@@ -192,8 +243,9 @@ class TestCategoricalRows:
 class TestStepMark:
     def test_uses_model_logits(self):
         net = ConstantField(0.0, vocab_size=2)
-        y = step_mark(net, np.ones(500), np.zeros(500, dtype=int), 0.0, 1.0,
-                      np.zeros((500, 1)), np.random.default_rng(2))
+        _, y = flow_step(net, np.ones(500), np.zeros(500, dtype=int), 0.0,
+                         np.zeros((500, 1)), one_window(500, seed=2),
+                         SamplerConfig(steps=1))
         frac = (y == 1).mean()
         assert 0.44 < frac < 0.56
 
@@ -202,10 +254,9 @@ class TestGenerate:
     def test_zero_field_keeps_init_noise(self):
         # with v = 0 every time step is the identity, so the returned times
         # must equal the window's seeded init noise exactly
-        net = ConstantField(0.0)
+        net = ConstantField(0.0, manual_rate=2.0)
         windows = small_windows(5)
-        cfg = SamplerConfig(steps=1, rate_mode="manual", manual_rate=2.0,
-                            seed=99)
+        cfg = SamplerConfig(steps=1, seed=99)
         out = generate(net, windows, cfg)
         for idx, w in enumerate(windows):
             rng = np.random.default_rng([cfg.seed, 3, idx])
@@ -217,10 +268,62 @@ class TestGenerate:
         # redraws must follow the former
         net = TwoPhaseLogits(0.0)
         windows = small_windows(5)
-        cfg = SamplerConfig(steps=1, rate_mode="manual", manual_rate=1.0)
-        out = generate(net, windows, cfg)
+        out = generate(net, windows, SamplerConfig(steps=1))
         marks = np.concatenate([y for _, y in out])
         assert np.all(marks == 2)
+
+    def test_noise_follows_model_policy(self):
+        # context rate and context pi0; all-zero context marks skew pi0 to
+        # [7/9, 1/9, 1/9]. A zero field and echoed marks return the init noise
+        net = EchoMarks(0.0)
+        net.config = ModelConfig(vocab_size=3, horizon=4, d=1,
+                                 rate_mode="context", pi0_mode="context")
+        rng = np.random.default_rng(4)
+        seqs = [EventSequence(rng.exponential(0.5, 10),
+                              np.r_[np.zeros(6, dtype=int), rng.integers(0, 3, 4)], 3)
+                for _ in range(6)]
+        windows = make_windows(seqs, 4)
+        cfg = SamplerConfig(steps=1, seed=8)
+        out = generate(net, windows, cfg)
+        uniform_marks = []
+        for idx, w in enumerate(windows):
+            lam, pi0 = net.window_rate(w.context), net.window_pi0(w.context)
+            np.testing.assert_allclose(pi0, [7 / 9, 1 / 9, 1 / 9])
+            x_exp, y_exp = init_noise(cfg, lam, pi0, w.horizon,
+                                      np.random.default_rng([cfg.seed, 3, idx]))
+            np.testing.assert_array_equal(out[idx][0], x_exp)
+            np.testing.assert_array_equal(out[idx][1], y_exp)
+            uniform_marks.append(init_noise(
+                cfg, lam, np.full(3, 1 / 3), w.horizon,
+                np.random.default_rng([cfg.seed, 3, idx]))[1])
+        # the policy is visible in the output: uniform noise draws other marks
+        assert not np.array_equal(np.concatenate(uniform_marks),
+                                  np.concatenate([y for _, y in out]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_tape_reference_loop(self, seed):
+        cfg_model = ModelConfig(vocab_size=3, horizon=4, d=8, vf_hidden=(16, 8),
+                                head_hidden=(8,), pi0_mode="context")
+        model = Model(cfg_model, seed=seed)
+        rng = np.random.default_rng([seed, 7])
+        for t in model.store.params.values():
+            t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
+        windows = ragged_windows(9)
+        cfg = SamplerConfig(steps=8, seed=seed, chunk_size=4)
+        got = generate(model, windows, cfg)
+        want = reference_generate(model, windows, cfg)
+        for (x, y), (x_ref, y_ref) in zip(got, want):
+            np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(y, y_ref)
+
+    def test_leaves_no_cyclic_garbage(self):
+        model = Model(ModelConfig(vocab_size=3, horizon=4, d=8,
+                                  vf_hidden=(8,), head_hidden=(8,)), seed=0)
+        windows = ragged_windows(5)
+        generate(model, windows, SamplerConfig(steps=4))
+        gc.collect()
+        generate(model, windows, SamplerConfig(steps=4))
+        assert gc.collect() == 0
 
     def test_shapes_and_ranges(self):
         model = Model(ModelConfig(vocab_size=3, horizon=4, d=8,
@@ -260,8 +363,7 @@ class TestGenerate:
     def test_invariant_counters(self):
         before = dict(INVARIANT_COUNTS)
         net = ConstantField(0.0)
-        generate(net, small_windows(4), SamplerConfig(
-            steps=4, rate_mode="manual", manual_rate=1.0))
+        generate(net, small_windows(4), SamplerConfig(steps=4))
         assert INVARIANT_COUNTS["checks"] == before["checks"] + 3 * 4
         assert INVARIANT_COUNTS["violations"] == before["violations"]
 
