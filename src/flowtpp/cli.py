@@ -127,15 +127,11 @@ def cmd_simulate(args) -> int:
 # ---- train ------------------------------------------------------------------
 
 
-def _model_config_from(config: dict, vocab: int, horizon: int) -> ModelConfig:
-    section = dict(config.get("model", {}))
-    section.pop("vocab_size", None)
-    section.pop("horizon", None)
-    if "vf_hidden" in section:
-        section["vf_hidden"] = tuple(section["vf_hidden"])
-    if "head_hidden" in section:
-        section["head_hidden"] = tuple(section["head_hidden"])
-    return ModelConfig(vocab_size=vocab, horizon=horizon, **section)
+def _model_config_from(config: dict, vocab: int, horizon) -> ModelConfig:
+    section = config.get("model", {})
+    if not isinstance(section, dict):
+        raise ValidationError("config section 'model' must be an object")
+    return ModelConfig.from_dict({**section, "vocab_size": vocab, "horizon": horizon})
 
 
 def _write_trace(path, trace, seed: int):
@@ -152,17 +148,18 @@ def _write_trace(path, trace, seed: int):
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     seed = int(_pick(args.seed, config, "train", "seed", config.get("seed", 0)))
-    horizon = int(_pick(args.horizon, config, "model", "horizon", 20))
     sequences = load_jsonl(args.data)
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
-    vocab = sequences[0].vocab_size
+    model_cfg = _model_config_from(
+        config, sequences[0].vocab_size,
+        _pick(args.horizon, config, "model", "horizon", 20))
+    horizon = model_cfg.horizon
     windows = make_windows(sequences, horizon)
     if not windows:
         raise ValidationError(
             f"no sequence in {args.data} is longer than horizon {horizon}"
         )
-    model_cfg = _model_config_from(config, vocab, horizon)
     train_cfg = TrainConfig(
         epochs=int(_pick(args.epochs, config, "train", "epochs", 100)),
         batch_size=int(_pick(args.batch_size, config, "train", "batch_size", 32)),

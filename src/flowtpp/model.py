@@ -10,6 +10,7 @@ on the clean mark.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,6 +22,10 @@ from .synthgen import categorical
 
 log = logging.getLogger(__name__)
 
+# parameters of the context encoder, the parents of encode_contexts' node
+ENCODER_PARAMS = ("mark_embed.table", "time_embed.0.W", "time_embed.0.b",
+                  *(f"enc.{w}{g}" for g in "zrh" for w in "WUb"))
+
 
 def sinusoidal_features(t, dim: int) -> np.ndarray:
     """Fixed sin/cos features of flow time t with log-spaced frequencies."""
@@ -29,6 +34,12 @@ def sinusoidal_features(t, dim: int) -> np.ndarray:
     freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
     angles = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -49,12 +60,23 @@ class ModelConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        object.__setattr__(self, "vf_hidden", tuple(int(w) for w in self.vf_hidden))
-        object.__setattr__(self, "head_hidden", tuple(int(w) for w in self.head_hidden))
+        for name in ("vocab_size", "horizon", "d", "mark_embed_dim",
+                     "time_embed_dim", "t_embed_dim"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("vf_hidden", "head_hidden"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (list, tuple)):
+                raise ValidationError(
+                    f"{name} must be a list of integers, got {widths!r}")
+            object.__setattr__(self, name, tuple(_integer(name, w) for w in widths))
+        for name in ("alpha", "manual_rate", "lambda_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         dims = (self.vocab_size, self.horizon, self.d, self.mark_embed_dim,
                 self.time_embed_dim, self.t_embed_dim, *self.vf_hidden,
                 *self.head_hidden)
-        if any(int(v) < 1 for v in dims):
+        if any(v < 1 for v in dims):
             raise ValidationError(f"all dims must be >= 1, got {dims}")
         if self.t_embed_dim % 2 != 0:
             raise ValidationError("t_embed_dim must be even (sin/cos pairs)")
@@ -196,43 +218,36 @@ class Model:
         return marks, logdts, lens
 
     def encode_contexts(self, contexts) -> nn.Tensor:
-        """Run the GRU over each context; returns final hidden states (B, d).
+        """Final GRU hidden states (B, d) as one tape node whose parents are
+        the encoder parameters.
 
-        Variable lengths are handled by padding and a freeze mask, so padded
-        steps leave the hidden state bit-identical.
+        The forward is encode_plain's. The backward is backpropagation
+        through time over each step's live rows, then one matmul for the
+        input-projection gradients of all steps.
         """
-        cfg = self.config
-        marks, logdts, lens = self._pad_contexts(contexts)
-        b, maxlen = marks.shape
-        uniform = bool((lens == maxlen).all())
-        active = (np.arange(maxlen)[None, :] < lens[:, None]).astype(np.float64)
+        h_c, saved = self._gru(contexts, keep=True)
+        params = tuple(self.store[path] for path in ENCODER_PARAMS)
+        out = nn.Tensor(h_c, parents=params)
 
-        table = self.store["mark_embed.table"]
-        h = nn.Tensor(np.zeros((b, cfg.d)))
-        one = nn.Tensor(1.0)
-        for k in range(maxlen):
-            e_mark = table.take_rows(marks[:, k])
-            e_time = nn.mlp_forward(self.store, logdts[:, k : k + 1],
-                                    [1, cfg.time_embed_dim], prefix="time_embed")
-            z = nn.concat([e_mark, e_time], axis=1)
-            h_new = nn.gru_step(self.store, z, h, prefix="enc")
-            if uniform:
-                h = h_new
-            else:
-                m = nn.Tensor(active[:, k : k + 1])
-                h = m * h_new + (one - m) * h
-        return h
+        def backward():
+            for path, grad in self._gru_backward(out.grad, saved).items():
+                self.store[path]._accum(grad)
 
-    def encode_context(self, context: EventSequence) -> nn.Tensor:
-        return self.encode_contexts([context])
+        out._backward = backward
+        return out
 
     def encode_plain(self, contexts) -> np.ndarray:
-        """encode_contexts on plain arrays, with no tape; returns (B, d).
+        """encode_contexts on plain arrays, with no tape; returns (B, d)."""
+        return self._gru(contexts)[0]
 
-        The GRU input projections of all steps are one matmul ahead of the
+    def _gru(self, contexts, keep: bool = False) -> tuple:
+        """GRU over each context: (h_c (B, d), saved activations or None).
+
+        The input projections of all steps are one matmul ahead of the
         recurrence, with the z/r/h gates side by side. Rows are visited
         longest context first, so step k updates only the rows still inside
-        their context, and padded steps leave h bit-identical.
+        their context, and padded steps leave h bit-identical. With keep,
+        each step's activations are saved for _gru_backward.
         """
         p = self.store
         marks, logdts, lens = self._pad_contexts(contexts)
@@ -251,19 +266,72 @@ class Model:
         u_zr = np.concatenate([p["enc.Uz"].data, p["enc.Ur"].data], axis=1)
         u_h = p["enc.Uh"].data
         h = np.zeros((len(lens), d))
+        steps = []
         for k, n in enumerate(live):
             g, h_k = gates[k, :n], h[:n]
             zr = h_k @ u_zr
             zr += g[:, : 2 * d]
             zr = 1.0 / (1.0 + np.exp(-zr))
             z, r = zr[:, :d], zr[:, d:]
-            cand = (r * h_k) @ u_h
+            rh = r * h_k
+            cand = rh @ u_h
             cand += g[:, 2 * d :]
             np.tanh(cand, out=cand)
-            h[:n] = (1.0 - z) * h_k + z * cand
+            h_new = (1.0 - z) * h_k + z * cand
+            h[:n] = h_new
+            if keep:
+                steps.append((zr, rh, cand, h_new))
         out = np.empty_like(h)
         out[order] = h
-        return out
+        return out, (order, marks, logdts, feats, live, steps) if keep else None
+
+    def _gru_backward(self, grad, saved) -> dict:
+        """Encoder parameter gradients from dL/dh_c (B, d), by path."""
+        order, marks, logdts, feats, live, steps = saved
+        p, d = self.store, self.config.d
+        u_zr = np.concatenate([p["enc.Uz"].data, p["enc.Ur"].data], axis=1)
+        u_h = p["enc.Uh"].data
+        # the live (step, row) cells, step by step: step k owns rows
+        # cells[k]:cells[k + 1] of the gate gradients and the saved states
+        cells = np.concatenate([[0], np.cumsum(live)])
+        h_prev = np.concatenate([np.zeros((live[0], d))] + [
+            steps[k - 1][3][:n] for k, n in enumerate(live) if k])
+        dgates = np.empty((cells[-1], 3 * d))
+        dh = grad[order]
+        for k in range(len(live) - 1, -1, -1):
+            n, rows = live[k], slice(cells[k], cells[k + 1])
+            zr, _, cand, _ = steps[k]
+            z, r = zr[:, :d], zr[:, d:]
+            h_k, da, dh_new = h_prev[rows], dgates[rows], dh[:n]
+            da[:, 2 * d :] = dh_new * z * (1.0 - cand * cand)
+            drh = da[:, 2 * d :] @ u_h.T
+            da[:, :d] = dh_new * (cand - h_k) * z * (1.0 - z)
+            da[:, d : 2 * d] = drh * h_k * r * (1.0 - r)
+            dh[:n] = dh_new * (1.0 - z) + drh * r + da[:, : 2 * d] @ u_zr.T
+        # recurrent and input weights: one matmul each over all live cells
+        du_h = np.concatenate([s[1] for s in steps]).T @ dgates[:, 2 * d :]
+        du_zr = h_prev.T @ dgates[:, : 2 * d]
+        is_live = np.arange(len(order)) < live[:, None]
+        marks, logdts, feats = marks[is_live], logdts[is_live], feats[is_live]
+        w_in = np.concatenate([p[f"enc.W{g}"].data for g in "zrh"], axis=1)
+        dw_in = feats.T @ dgates
+        db_in = dgates.sum(axis=0)
+        dfeats = dgates @ w_in.T
+        e = self.config.mark_embed_dim
+        onehot = marks[:, None] == np.arange(self.config.vocab_size)
+        de_time = dfeats[:, e:]
+        grads = {
+            "mark_embed.table": onehot.T.astype(np.float64) @ dfeats[:, :e],
+            "time_embed.0.W": logdts[None, :] @ de_time,
+            "time_embed.0.b": de_time.sum(axis=0),
+        }
+        for i, g in enumerate("zrh"):
+            cols = slice(i * d, (i + 1) * d)
+            grads[f"enc.W{g}"] = dw_in[:, cols]
+            grads[f"enc.b{g}"] = db_in[cols]
+        grads["enc.Uz"], grads["enc.Ur"] = du_zr[:, :d], du_zr[:, d:]
+        grads["enc.Uh"] = du_h
+        return grads
 
     # ---- rate / base-mark-distribution policy ------------------------------
 
@@ -314,7 +382,8 @@ class Model:
     #
     # Both networks read concat([x, onehot(y), phi(t), h_c]), so their first
     # layers split into x*W_x + W_y[y] + phi(t) @ W_t + (h_c @ W_h + b). The
-    # bracket is fixed for a window; project_contexts computes it once.
+    # bracket is fixed for a window; project_contexts computes it once. The
+    # loss runs the same forward and keeps the tanh activations.
 
     def _first_layer_rows(self) -> tuple:
         """Row ranges of the first-layer weights: (W_y, W_t); W_x is row 0
@@ -322,15 +391,23 @@ class Model:
         m = self.config.vocab_size
         return slice(1, m + 1), slice(m + 1, m + 1 + self.config.t_embed_dim)
 
-    def project_contexts(self, contexts) -> np.ndarray:
-        """Context term of both first layers, biases included: (B, Hv + Hh),
-        vf columns first, from a tape-free encoding."""
+    def _context_weights(self) -> tuple:
+        """(W_h, b) of both first layers side by side, vf columns first."""
         _, t_rows = self._first_layer_rows()
         w1 = [self.store[f"{net}.0.W"].data[t_rows.stop :] for net in ("vf", "head")]
         b1 = [self.store[f"{net}.0.b"].data for net in ("vf", "head")]
-        out = self.encode_plain(contexts) @ np.concatenate(w1, axis=1)
-        out += np.concatenate(b1)
+        return np.concatenate(w1, axis=1), np.concatenate(b1)
+
+    def _project(self, h_c: np.ndarray) -> np.ndarray:
+        w_h, b = self._context_weights()
+        out = h_c @ w_h
+        out += b
         return out
+
+    def project_contexts(self, contexts) -> np.ndarray:
+        """Context term of both first layers, biases included: (B, Hv + Hh),
+        vf columns first, from a tape-free encoding."""
+        return self._project(self.encode_plain(contexts))
 
     def predict(self, x_t, y_t, t, proj_rows, marks: bool = True) -> tuple:
         """Tape-free forward on plain arrays: (v (n,), logits (n, M)).
@@ -339,12 +416,20 @@ class Model:
         scalar or one flow time per row. With marks=False only the vector
         field runs and logits is None.
         """
+        return self._run_nets(x_t, y_t, t, proj_rows, marks)
+
+    def _nets(self, marks: bool = True) -> list:
+        return [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
+
+    def _run_nets(self, x_t, y_t, t, proj_rows, marks: bool, acts=None) -> tuple:
+        """predict's forward; with a list acts, each net's tanh outputs are
+        appended to it, one list per net."""
         cfg = self.config
         x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
         y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
         if np.any(y_t < 0) or np.any(y_t >= cfg.vocab_size):
             raise ValidationError("mark out of vocabulary in predict input")
-        nets = [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
+        nets = self._nets(marks)
         w1 = [self.store[f"{net}.0.W"].data for net, _ in nets]
         y_rows, t_rows = self._first_layer_rows()
         w_y = np.concatenate([w[y_rows] for w in w1], axis=1)
@@ -361,8 +446,12 @@ class Model:
         for net, sizes in nets:
             h = a[:, lo : lo + sizes[1]]
             lo += sizes[1]
+            if acts is not None:
+                acts.append([])
             for i in range(1, len(sizes) - 1):
                 np.tanh(h, out=h)
+                if acts is not None:
+                    acts[-1].append(h)
                 h = h @ self.store[f"{net}.{i}.W"].data
                 h += self.store[f"{net}.{i}.b"].data
             outs.append(h)
@@ -406,44 +495,77 @@ class Model:
             window_idx=np.concatenate(widx),
         )
 
-    # ---- losses --------------------------------------------------------------
-
-    def _expand(self, h_c: nn.Tensor, batch: FlowSample) -> nn.Tensor:
-        return h_c.take_rows(batch.window_idx)
-
-    def loss_time(self, batch: FlowSample, h_c: nn.Tensor) -> nn.Tensor:
-        if len(batch) == 0:
-            raise ValidationError("empty flow batch")
-        v, _ = self.forward(batch.x_t, batch.y_t, batch.t, self._expand(h_c, batch))
-        target = nn.Tensor((batch.x1 - batch.x0)[:, None])
-        return (v - target).square().mean()
-
-    def loss_mark(self, batch: FlowSample, h_c: nn.Tensor) -> nn.Tensor:
-        if len(batch) == 0:
-            raise ValidationError("empty flow batch")
-        _, logits = self.forward(batch.x_t, batch.y_t, batch.t,
-                                 self._expand(h_c, batch))
-        logp = nn.log_softmax(logits, axis=1)
-        return -logp.select_columns(batch.y1).mean()
+    # ---- loss --------------------------------------------------------------
 
     def loss_total(self, batch: FlowSample, h_c: nn.Tensor, alpha=None) -> tuple:
         """Joint objective; returns (total Tensor, loss_time, loss_mark floats).
 
-        Both heads share one forward pass so the tape is built once.
+        total = mean squared error of the field against x1 - x0, plus alpha
+        times the mean cross-entropy of the logits against the clean marks.
+        It is one tape node whose parents are h_c and the vf/head
+        parameters. The forward is predict's, with the context term
+        h_c·W_h + b computed once per window; the backward reuses its tanh
+        activations.
         """
         if len(batch) == 0:
             raise ValidationError("empty flow batch")
         alpha = self.config.alpha if alpha is None else alpha
         if alpha < 0:
             raise ValidationError(f"alpha must be >= 0, got {alpha}")
-        v, logits = self.forward(batch.x_t, batch.y_t, batch.t,
-                                 self._expand(h_c, batch))
-        target = nn.Tensor((batch.x1 - batch.x0)[:, None])
-        l_time = (v - target).square().mean()
-        logp = nn.log_softmax(logits, axis=1)
-        l_mark = -logp.select_columns(batch.y1).mean()
-        total = l_time + nn.Tensor(float(alpha)) * l_mark
-        return total, float(l_time.data), float(l_mark.data)
+        n = len(batch)
+        acts = []
+        v, logits = self._run_nets(batch.x_t, batch.y_t, batch.t,
+                                   self._project(h_c.data)[batch.window_idx],
+                                   True, acts)
+        resid = v - (batch.x1 - batch.x0)
+        l_time = (resid * resid).sum() / n
+        shift = logits - logits.max(axis=1, keepdims=True)
+        exp_shift = np.exp(shift)
+        sum_exp = exp_shift.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        l_mark = -(shift[rows, batch.y1] - np.log(sum_exp[:, 0])).sum() / n
+        params = tuple(self.store[f"{net}.{i}.{w}"] for net, sizes in self._nets()
+                       for i in range(len(sizes) - 1) for w in "Wb")
+        out = nn.Tensor(l_time + alpha * l_mark, parents=(h_c, *params))
+
+        def backward():
+            g = float(out.grad)
+            d_logits = exp_shift / sum_exp
+            d_logits[rows, batch.y1] -= 1.0
+            d_logits *= alpha * g / n
+            d_outs = [(2.0 * g / n) * resid[:, None], d_logits]
+            grads, d_first = {}, []
+            for (net, sizes), d, net_acts in zip(self._nets(), d_outs, acts):
+                for i in range(len(sizes) - 2, 0, -1):
+                    a_in = net_acts[i - 1]
+                    grads[f"{net}.{i}.W"] = a_in.T @ d
+                    grads[f"{net}.{i}.b"] = d.sum(axis=0)
+                    d = d @ self.store[f"{net}.{i}.W"].data.T
+                    d *= 1.0 - a_in * a_in
+                d_first.append(d)
+            d_a = np.concatenate(d_first, axis=1)
+            # scatters to marks and windows are one-hot matmuls
+            inputs = np.concatenate([
+                batch.x_t[:, None],
+                batch.y_t[:, None] == np.arange(self.config.vocab_size),
+                sinusoidal_features(batch.t, self.config.t_embed_dim),
+            ], axis=1)
+            to_window = batch.window_idx == np.arange(h_c.shape[0])[:, None]
+            d_proj = to_window.astype(np.float64) @ d_a
+            d_w = np.concatenate([inputs.T @ d_a, h_c.data.T @ d_proj])
+            d_b = d_a.sum(axis=0)
+            lo = 0
+            for net, sizes in self._nets():
+                cols = slice(lo, lo + sizes[1])
+                lo = cols.stop
+                grads[f"{net}.0.W"], grads[f"{net}.0.b"] = d_w[:, cols], d_b[cols]
+            for path, grad in grads.items():
+                self.store[path]._accum(grad)
+            if h_c.requires_grad:
+                h_c._accum(d_proj @ self._context_weights()[0].T)
+
+        out._backward = backward
+        return out, float(l_time), float(l_mark)
 
     # ---- persistence -----------------------------------------------------------
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flowtpp
 from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
                      make_windows)
 from flowtpp.cli import main
@@ -137,6 +141,31 @@ class TestTrain:
                    "--lr", "1e280", "--seed", "5"])
         assert rc == 2
         assert "numerical abort" in capsys.readouterr().err
+
+
+class TestMalformedModelSection:
+    """A bad `model` section exits 1 and names the key, with no traceback;
+    run as a process so an uncaught error would show on stderr."""
+
+    @pytest.mark.parametrize("section,named", [
+        ({"dd": 4}, "['dd']"),
+        ({"vf_hidden": 5}, "vf_hidden must be a list of integers"),
+        ({"d": "abc"}, "d must be an integer"),
+    ], ids=["unknown-key", "hidden-not-list", "size-not-integer"])
+    def test_exits_1_naming_key(self, tmp_path, data_path, section, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": section}))
+        src = os.path.dirname(os.path.dirname(flowtpp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowtpp.cli", "train", "--data", data_path,
+             "--out", str(tmp_path / "m.json"), "--config", str(cfg),
+             "--epochs", "1", "--horizon", "4"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestSample:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from flowtpp import (
     train,
 )
 from flowtpp import nn
-from flowtpp.model import FlowSample
+from flowtpp.model import ENCODER_PARAMS, FlowSample
 
 # critical values of the chi-squared distribution at p = 0.01
 CHI2_CRIT = {2: 9.210, 3: 11.345}
@@ -63,6 +65,19 @@ class TestModelConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             ModelConfig.from_dict({"vocab_size": 2, "horizon": 4, "bogus": 1})
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", "abc"), ("d", 2.5), ("d", True), ("horizon", None),
+        ("vf_hidden", 5), ("vf_hidden", "64"), ("head_hidden", [8, "x"]),
+        ("alpha", "1"), ("lambda_min", None),
+    ])
+    def test_malformed_values_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            ModelConfig.from_dict({"vocab_size": 2, "horizon": 4, key: value})
+
+    def test_sizes_accept_numpy_integers(self):
+        cfg = tiny_config(d=np.int64(8), vf_hidden=[np.int32(4)])
+        assert cfg.d == 8 and type(cfg.d) is int and cfg.vf_hidden == (4,)
 
 
 class TestInterpolateTime:
@@ -133,22 +148,22 @@ class TestEncodeContext:
         model = Model(tiny_config(), seed=0)
         zero_params(model)
         ctx = EventSequence(np.array([0.5, 1.0]), np.array([0, 2]), 3)
-        h = model.encode_context(ctx)
+        h = model.encode_contexts([ctx])
         np.testing.assert_array_equal(h.data, np.zeros((1, 8)))
 
     def test_order_sensitivity(self):
         model = Model(tiny_config(), seed=1)
         a = EventSequence(np.array([0.5, 2.0]), np.array([0, 1]), 3)
         b = EventSequence(np.array([2.0, 0.5]), np.array([1, 0]), 3)
-        ha = model.encode_context(a).data
-        hb = model.encode_context(b).data
+        ha = model.encode_contexts([a]).data
+        hb = model.encode_contexts([b]).data
         assert not np.allclose(ha, hb)
 
     def test_vocab_mismatch_rejected(self):
         model = Model(tiny_config(), seed=0)
         ctx = EventSequence(np.array([1.0]), np.array([0]), 5)
         with pytest.raises(ValidationError, match="vocab"):
-            model.encode_context(ctx)
+            model.encode_contexts([ctx])
 
     def test_batch_matches_single(self):
         model = Model(tiny_config(), seed=2)
@@ -157,7 +172,7 @@ class TestEncodeContext:
             EventSequence(np.array([2.0, 0.1]), np.array([2, 2]), 3),
         ]
         batched = model.encode_contexts(ctxs).data
-        singles = np.vstack([model.encode_context(c).data for c in ctxs])
+        singles = np.vstack([model.encode_contexts([c]).data for c in ctxs])
         # BLAS sums batched and single-row matmuls in different orders
         np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-15)
 
@@ -168,7 +183,7 @@ class TestEncodeContext:
             EventSequence(np.array([2.0, 0.1, 0.3]), np.array([2, 1, 0]), 3),
         ]
         batched = model.encode_contexts(ctxs).data
-        singles = np.vstack([model.encode_context(c).data for c in ctxs])
+        singles = np.vstack([model.encode_contexts([c]).data for c in ctxs])
         np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-15)
 
     def test_gradient_through_encoder(self, rng):
@@ -176,7 +191,7 @@ class TestEncodeContext:
         ctx = EventSequence(np.array([0.5, 1.0]), np.array([0, 1]), 3)
 
         def loss():
-            return model.encode_context(ctx).square().sum()
+            return model.encode_contexts([ctx]).square().sum()
 
         assert_gradients_match(loss, list(model.store.params.values()))
 
@@ -227,6 +242,38 @@ def random_contexts(rng, n, vocab_size, max_len):
 PARITY_TOL = 1e-12
 
 
+def tape_encode_contexts(model, contexts):
+    """Reference encoder on the generic tape: every row steps through the
+    longest context, and a mask blends padded steps back to the old state."""
+    cfg = model.config
+    marks, logdts, lens = model._pad_contexts(contexts)
+    b, maxlen = marks.shape
+    active = (np.arange(maxlen)[None, :] < lens[:, None]).astype(np.float64)
+    table = model.store["mark_embed.table"]
+    h = nn.Tensor(np.zeros((b, cfg.d)))
+    one = nn.Tensor(1.0)
+    for k in range(maxlen):
+        e_mark = table.take_rows(marks[:, k])
+        e_time = nn.mlp_forward(model.store, logdts[:, k : k + 1],
+                                [1, cfg.time_embed_dim], prefix="time_embed")
+        z = nn.concat([e_mark, e_time], axis=1)
+        h_new = nn.gru_step(model.store, z, h, prefix="enc")
+        m = nn.Tensor(active[:, k : k + 1])
+        h = m * h_new + (one - m) * h
+    return h
+
+
+def tape_loss_total(model, batch, h_c, alpha):
+    """Reference joint loss on the generic tape through Model.forward."""
+    v, logits = model.forward(batch.x_t, batch.y_t, batch.t,
+                              h_c.take_rows(batch.window_idx))
+    target = nn.Tensor((batch.x1 - batch.x0)[:, None])
+    l_time = (v - target).square().mean()
+    l_mark = -nn.log_softmax(logits, axis=1).select_columns(batch.y1).mean()
+    total = l_time + nn.Tensor(float(alpha)) * l_mark
+    return total, float(l_time.data), float(l_mark.data)
+
+
 class TestPlainForwardParity:
     """The tape-free inference path against the tape path it replaces at
     inference: same values up to summation order."""
@@ -235,9 +282,9 @@ class TestPlainForwardParity:
     def test_encode_plain_matches_tape(self, seed):
         rng = np.random.default_rng([seed, 1])
         model = jittered_model(tiny_config(), seed)
-        # ragged lengths exercise the padding branch of encode_contexts
+        # ragged lengths exercise the padding branch of the reference
         ctxs = random_contexts(rng, 7, 3, max_len=12)
-        want = model.encode_contexts(ctxs).data
+        want = tape_encode_contexts(model, ctxs).data
         got = model.encode_plain(ctxs)
         np.testing.assert_allclose(got, want, rtol=0, atol=PARITY_TOL)
 
@@ -276,6 +323,107 @@ def frozen_batch(model, windows, seed=0):
     return model.build_flow_batch(windows, rng)
 
 
+def ragged_windows(rng, n, horizon=4, m=3):
+    seqs = [simulate_poisson(1.0, [1.0 / m] * m, int(k), seed=[88, 2, i])
+            for i, k in enumerate(rng.integers(horizon + 1, horizon + 12, size=n))]
+    return make_windows(seqs, horizon)
+
+
+def permuted(batch, rng):
+    perm = rng.permutation(len(batch))
+    return FlowSample(**{f: getattr(batch, f)[perm] for f in batch.__dataclass_fields__})
+
+
+def param_grads(model, loss_fn):
+    """(loss_fn's outputs, {path: gradient}) after one backward sweep."""
+    model.store.zero_grads()
+    out = loss_fn()
+    nn.backward(out[0])
+    return out, {path: t.grad for path, t in model.store.params.items()}
+
+
+HIDDEN_SHAPES = [((8,), (8,)), ((8, 6), (5,)), ((), (4,)), ((5,), ())]
+
+
+class TestTrainingNodeParity:
+    """encode_contexts and loss_total, each one tape node with a hand-written
+    backward, against the generic tape they replace in training."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encode_contexts_is_encode_plain(self, seed):
+        rng = np.random.default_rng([seed, 3])
+        model = jittered_model(tiny_config(), seed)
+        ctxs = random_contexts(rng, 9, 3, max_len=15)
+        np.testing.assert_array_equal(model.encode_contexts(ctxs).data,
+                                      model.encode_plain(ctxs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encoder_gradients_match_tape(self, seed):
+        rng = np.random.default_rng([seed, 4])
+        model = jittered_model(tiny_config(), seed)
+        ctxs = random_contexts(rng, 9, 3, max_len=15)
+        weights = nn.Tensor(rng.normal(0.0, 1.0, (9, 8)))
+        (got,), g_got = param_grads(
+            model, lambda: ((model.encode_contexts(ctxs) * weights).sum(),))
+        (want,), g_want = param_grads(
+            model, lambda: ((tape_encode_contexts(model, ctxs) * weights).sum(),))
+        assert abs(float(got.data) - float(want.data)) <= PARITY_TOL
+        for path in ENCODER_PARAMS:
+            np.testing.assert_allclose(g_got[path], g_want[path],
+                                       rtol=PARITY_TOL, atol=PARITY_TOL, err_msg=path)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_loss_and_gradients_match_tape(self, seed, hidden, alpha):
+        rng = np.random.default_rng([seed, 5])
+        model = jittered_model(tiny_config(vf_hidden=hidden[0],
+                                           head_hidden=hidden[1]), seed)
+        windows = ragged_windows(rng, 6)
+        ctxs = [w.context for w in windows]
+        batch = permuted(frozen_batch(model, windows, seed), rng)
+        got, g_got = param_grads(
+            model, lambda: model.loss_total(batch, model.encode_contexts(ctxs), alpha))
+        want, g_want = param_grads(
+            model, lambda: tape_loss_total(model, batch,
+                                           tape_encode_contexts(model, ctxs), alpha))
+        np.testing.assert_allclose(
+            [float(got[0].data), got[1], got[2]],
+            [float(want[0].data), want[1], want[2]], rtol=PARITY_TOL, atol=0)
+        assert set(g_got) == set(g_want)
+        for path in g_want:
+            np.testing.assert_allclose(g_got[path], g_want[path],
+                                       rtol=PARITY_TOL, atol=PARITY_TOL, err_msg=path)
+
+    @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_context_gradient_matches_tape(self, hidden, alpha):
+        rng = np.random.default_rng(6)
+        model = jittered_model(tiny_config(vf_hidden=hidden[0],
+                                           head_hidden=hidden[1]), 6)
+        windows = ragged_windows(rng, 5)
+        batch = permuted(frozen_batch(model, windows), rng)
+        h_data = rng.normal(0.0, 1.0, (5, 8))
+        grads = []
+        for loss in (model.loss_total, lambda *a: tape_loss_total(model, *a)):
+            h_c = nn.Tensor(h_data, requires_grad=True)
+            nn.backward(loss(batch, h_c, alpha)[0])
+            grads.append(h_c.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=PARITY_TOL,
+                                   atol=PARITY_TOL)
+
+    def test_two_nodes_per_batch(self):
+        model = Model(tiny_config(), seed=0)
+        windows = poisson_windows(3)
+        h_c = model.encode_contexts([w.context for w in windows])
+        total, _, _ = model.loss_total(frozen_batch(model, windows), h_c)
+        assert total._parents[0] is h_c
+        head = {p for p in model.store.params if p.split(".")[0] in ("vf", "head")}
+        assert {id(model.store[p]) for p in head} == {id(t) for t in total._parents[1:]}
+        assert [id(t) for t in h_c._parents] == [
+            id(model.store[p]) for p in ENCODER_PARAMS]
+
+
 class TestLosses:
     def setup_method(self):
         self.model = Model(tiny_config(), seed=6)
@@ -302,8 +450,8 @@ class TestLosses:
             x_t=np.array([2.0]), y0=np.array([0]), y1=np.array([1]),
             y_t=np.array([1]), window_idx=np.array([0]),
         )
-        h_c = model.encode_context(w.context)
-        assert float(model.loss_time(batch, h_c).data) == 4.0
+        h_c = model.encode_contexts([w.context])
+        assert model.loss_total(batch, h_c)[1] == 4.0
 
     def test_stub_exact_field_zero_loss(self):
         # constant bias c == x1 - x0 on a single sample => loss 0
@@ -316,8 +464,8 @@ class TestLosses:
             x_t=np.array([1.5]), y0=np.array([0]), y1=np.array([1]),
             y_t=np.array([0]), window_idx=np.array([0]),
         )
-        h_c = model.encode_context(w.context)
-        assert float(model.loss_time(batch, h_c).data) == 0.0
+        h_c = model.encode_contexts([w.context])
+        assert model.loss_total(batch, h_c)[1] == 0.0
 
     def test_uniform_logits_ce_is_log_m(self):
         model = Model(tiny_config(vocab_size=4), seed=0)
@@ -325,7 +473,7 @@ class TestLosses:
         windows = poisson_windows(2, m=4)
         batch = frozen_batch(model, windows)
         h_c = model.encode_contexts([w.context for w in windows])
-        assert abs(float(model.loss_mark(batch, h_c).data) - np.log(4.0)) < 1e-12
+        assert abs(model.loss_total(batch, h_c)[2] - np.log(4.0)) < 1e-12
 
     def test_saturated_logits_ce_near_zero(self):
         model = Model(tiny_config(), seed=0)
@@ -339,8 +487,8 @@ class TestLosses:
         bias = np.zeros(3)
         bias[2] = 50.0
         model.store["head.1.b"].data = bias
-        h_c = model.encode_context(w.context)
-        assert float(model.loss_mark(batch, h_c).data) < 1e-8
+        h_c = model.encode_contexts([w.context])
+        assert model.loss_total(batch, h_c)[2] < 1e-8
 
     def test_total_is_time_plus_alpha_mark(self):
         batch = frozen_batch(self.model, self.windows)
@@ -363,12 +511,14 @@ class TestLosses:
             return {p: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
                     for p, t in self.model.store.params.items()}
 
-        g_time = grads_of(self.model.loss_time(batch, h_fn()))
-        g_mark = grads_of(self.model.loss_mark(batch, h_fn()))
+        # alpha = 0 is the time loss alone; alpha = 1 adds the mark loss once
+        g_time = grads_of(self.model.loss_total(batch, h_fn(), alpha=0.0)[0])
+        g_both = grads_of(self.model.loss_total(batch, h_fn(), alpha=1.0)[0])
         g_tot = grads_of(self.model.loss_total(batch, h_fn(), alpha=0.7)[0])
         for path in g_tot:
+            g_mark = g_both[path] - g_time[path]
             np.testing.assert_allclose(
-                g_tot[path], g_time[path] + 0.7 * g_mark[path], atol=1e-10
+                g_tot[path], g_time[path] + 0.7 * g_mark, atol=1e-10
             )
 
     def test_loss_nonnegative(self):
@@ -392,7 +542,7 @@ class TestLosses:
 
     def test_empty_batch_rejected(self):
         empty = FlowSample(*[np.zeros(0)] * 7, window_idx=np.zeros(0, dtype=int))
-        h_c = self.model.encode_context(self.windows[0].context)
+        h_c = self.model.encode_contexts([self.windows[0].context])
         with pytest.raises(ValidationError):
             self.model.loss_total(empty, h_c)
 
@@ -446,6 +596,15 @@ class TestTrain:
         model = Model(tiny_config(), seed=0)
         with pytest.raises(ValidationError):
             train(model, [], TrainConfig(epochs=1))
+
+    def test_leaves_no_cyclic_garbage(self):
+        model = Model(tiny_config(), seed=0)
+        windows = poisson_windows(6)
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        train(model, windows, cfg)
+        gc.collect()
+        train(model, windows, cfg)
+        assert gc.collect() == 0
 
     def test_zero_epochs_leaves_params(self):
         windows = poisson_windows(4)
