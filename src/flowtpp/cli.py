@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_section, check_value
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     OtdConfig,
@@ -46,29 +46,55 @@ def _floats(text: str) -> list:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}")
 
 
+# noise-policy keys a sampler section may repeat; the checkpoint decides them
+_NOISE_POLICY_KEYS = ("rate_mode", "manual_rate", "pi0_mode")
+
+# keys and value types of each config-file section; a config file may hold
+# only these and a top-level integer "seed", the default of a section's seed
+_SECTIONS = {
+    "simulate": {"kind": str, "num_seqs": int, "eval_seqs": int, "length": int,
+                 "seed": int, "rate": float, "vocab_size": int,
+                 "mark_probs": tuple[float, ...], "base_rates": tuple[float, ...],
+                 "excite": tuple[float, ...], "decay": float},
+    "model": ModelConfig.field_types,
+    "train": TrainConfig.field_types,
+    "sampler": {**SamplerConfig.field_types,
+                **{key: ModelConfig.field_types[key] for key in _NOISE_POLICY_KEYS}},
+    "otd": OtdConfig.field_types,
+    "evaluate": {"rmse_y_mode": str, "seed": int},
+}
+
+
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config {path} must be a JSON object")
-    return doc
+    """The config file at path, or an empty one, as {"seed": int (default 0),
+    section: checked section} over every section. Unknown sections or keys
+    and wrongly typed values are errors."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config {path} must be a JSON object")
+    unknown = sorted(set(doc) - {"seed", *_SECTIONS})
+    if unknown:
+        raise ValidationError(f"unknown config sections: {unknown}")
+    config = {"seed": check_value("seed", doc.get("seed", 0), int)}
+    for name, types in _SECTIONS.items():
+        config[name] = check_section(name, doc.get(name, {}), types)
+        if "seed" in types:
+            config[name].setdefault("seed", config["seed"])
+    return config
 
 
-def _pick(flag_value, config: dict, section: str, key: str, default):
-    """Precedence: explicit flag > config file section > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    sect = config.get(section, {})
-    if not isinstance(sect, dict):
-        raise ValidationError(f"config section {section!r} must be an object")
-    return sect.get(key, default)
+def _section(config: dict, name: str, args, *flags) -> dict:
+    """Precedence: explicit flag > config file section (same key names)."""
+    return {**config[name], **{key: getattr(args, key) for key in flags
+                               if getattr(args, key, None) is not None}}
 
 
 def _write_report(path, doc: dict):
@@ -80,29 +106,34 @@ def _write_report(path, doc: dict):
 # ---- simulate ---------------------------------------------------------------
 
 
-def _simulate_sequences(kind: str, args, config: dict, seed: int,
-                        n: int, length: int, stream: int = 2):
+def _simulate_settings(config: dict, args, **sizes) -> dict:
+    """The simulate section under its flags, over the command's defaults."""
+    return {"kind": "poisson", "length": 40, "rate": 1.0, "vocab_size": 3,
+            "base_rates": (0.25, 0.25), "excite": (0.3, 0.1, 0.1, 0.3),
+            "decay": 1.0, **sizes,
+            **_section(config, "simulate", args, *_SECTIONS["simulate"])}
+
+
+def _simulate_sequences(sim: dict, seed: int, n: int, stream: int = 2):
+    kind, length = sim["kind"], sim["length"]
     if kind == "poisson":
-        rate = _pick(args.rate, config, "simulate", "rate", 1.0)
-        vocab = int(_pick(args.vocab_size, config, "simulate", "vocab_size", 3))
-        probs = _pick(args.mark_probs, config, "simulate", "mark_probs", None)
+        vocab = sim["vocab_size"]
+        probs = sim.get("mark_probs")
         probs = np.full(vocab, 1.0 / vocab) if probs is None else np.asarray(probs)
         seqs = [
-            simulate_poisson(rate, probs, length, seed=[seed, stream, i])
+            simulate_poisson(sim["rate"], probs, length, seed=[seed, stream, i])
             for i in range(n)
         ]
         return seqs, probs.shape[0]
     if kind == "hawkes":
-        base = _pick(args.base_rates, config, "simulate", "base_rates", [0.25, 0.25])
-        excite = _pick(args.excite, config, "simulate", "excite",
-                       [0.3, 0.1, 0.1, 0.3])
-        decay = _pick(args.decay, config, "simulate", "decay", 1.0)
+        base, excite = sim["base_rates"], sim["excite"]
         m = len(base)
         if len(excite) != m * m:
             raise ValidationError(
                 f"excite needs {m * m} entries (row-major {m}x{m}), got {len(excite)}"
             )
-        spec = HawkesSpec(np.asarray(base), np.asarray(excite).reshape(m, m), decay)
+        spec = HawkesSpec(np.asarray(base), np.asarray(excite).reshape(m, m),
+                          sim["decay"])
         seqs = [
             simulate_hawkes(spec, length, seed=[seed, stream, i]) for i in range(n)
         ]
@@ -111,27 +142,17 @@ def _simulate_sequences(kind: str, args, config: dict, seed: int,
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "simulate", "seed", config.get("seed", 0)))
-    n = int(_pick(args.num_seqs, config, "simulate", "num_seqs", 100))
-    length = int(_pick(args.length, config, "simulate", "length", 40))
+    sim = _simulate_settings(_load_config(args.config), args, num_seqs=100)
+    n, length, kind = sim["num_seqs"], sim["length"], sim["kind"]
     if n < 1 or length < 1:
         raise ValidationError("num-seqs and length must be positive")
-    kind = _pick(args.kind, config, "simulate", "kind", "poisson")
-    seqs, vocab = _simulate_sequences(kind, args, config, seed, n, length)
-    save_jsonl(args.out, seqs, vocab, seed=seed)
+    seqs, vocab = _simulate_sequences(sim, sim["seed"], n)
+    save_jsonl(args.out, seqs, vocab, seed=sim["seed"])
     print(f"wrote {n} {kind} sequences (M={vocab}, length={length}) to {args.out}")
     return 0
 
 
 # ---- train ------------------------------------------------------------------
-
-
-def _model_config_from(config: dict, vocab: int, horizon) -> ModelConfig:
-    section = config.get("model", {})
-    if not isinstance(section, dict):
-        raise ValidationError("config section 'model' must be an object")
-    return ModelConfig.from_dict({**section, "vocab_size": vocab, "horizon": horizon})
 
 
 def _write_trace(path, trace, seed: int):
@@ -147,34 +168,26 @@ def _write_trace(path, trace, seed: int):
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "train", "seed", config.get("seed", 0)))
-    sequences = load_jsonl(args.data)
+    train_cfg = TrainConfig.from_dict(
+        _section(config, "train", args, "epochs", "batch_size", "lr", "seed"))
+    sequences = load_jsonl(args.data, config["model"].get("vocab_size"))
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
-    model_cfg = _model_config_from(
-        config, sequences[0].vocab_size,
-        _pick(args.horizon, config, "model", "horizon", 20))
+    model_cfg = ModelConfig.from_dict({
+        "horizon": 20, "vocab_size": sequences[0].vocab_size,
+        **_section(config, "model", args, "horizon")})
     horizon = model_cfg.horizon
     windows = make_windows(sequences, horizon)
     if not windows:
         raise ValidationError(
             f"no sequence in {args.data} is longer than horizon {horizon}"
         )
-    train_cfg = TrainConfig(
-        epochs=int(_pick(args.epochs, config, "train", "epochs", 100)),
-        batch_size=int(_pick(args.batch_size, config, "train", "batch_size", 32)),
-        lr=float(_pick(args.lr, config, "train", "lr", 1e-3)),
-        beta1=float(_pick(None, config, "train", "beta1", 0.9)),
-        beta2=float(_pick(None, config, "train", "beta2", 0.999)),
-        eps_opt=float(_pick(None, config, "train", "eps_opt", 1e-8)),
-        seed=seed,
-    )
-    model = Model(model_cfg, seed=seed)
+    model = Model(model_cfg, seed=train_cfg.seed)
     trace = train(model, windows, train_cfg)
     model.save_checkpoint(args.out,
-                          {"train": train_cfg.to_dict(), "seed": seed})
+                          {"train": train_cfg.to_dict(), "seed": train_cfg.seed})
     trace_path = args.trace or f"{args.out}.trace.csv"
-    _write_trace(trace_path, trace, seed)
+    _write_trace(trace_path, trace, train_cfg.seed)
     print(
         f"trained {train_cfg.epochs} epochs on {len(windows)} windows; "
         f"checkpoint {args.out}, trace {trace_path}"
@@ -185,32 +198,22 @@ def cmd_train(args) -> int:
 # ---- sample -----------------------------------------------------------------
 
 
-# noise-policy keys a sampler section may repeat; the checkpoint decides them
-_NOISE_POLICY_KEYS = ("rate_mode", "manual_rate", "pi0_mode")
-
-
-def _sampler_config_from(args, config: dict, seed: int,
+def _sampler_config_from(args, config: dict,
                          model_cfg: ModelConfig) -> SamplerConfig:
+    section = _section(config, "sampler", args, "steps", "seed")
     for key in _NOISE_POLICY_KEYS:
-        value = _pick(None, config, "sampler", key, None)
+        value = section.pop(key, None)
         if value is not None and value != getattr(model_cfg, key):
             raise ValidationError(
                 f"config sampler.{key}={value!r} disagrees with the checkpoint's "
                 f"model.{key}={getattr(model_cfg, key)!r}; sampling uses the "
                 f"noise policy the model was trained with"
             )
-    return SamplerConfig(
-        steps=int(_pick(args.steps, config, "sampler", "steps", 8)),
-        eps_time=float(_pick(None, config, "sampler", "eps_time", 1e-6)),
-        eps_prob=float(_pick(None, config, "sampler", "eps_prob", 1e-5)),
-        chunk_size=int(_pick(None, config, "sampler", "chunk_size", 256)),
-        seed=seed,
-    )
+    return SamplerConfig.from_dict(section)
 
 
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "sampler", "seed", config.get("seed", 0)))
     model = Model.from_checkpoint(args.checkpoint)
     horizon = int(args.horizon) if args.horizon is not None else model.config.horizon
     sequences = load_jsonl(args.data, vocab_size=model.config.vocab_size)
@@ -219,13 +222,13 @@ def cmd_sample(args) -> int:
         raise ValidationError(
             f"no sequence in {args.data} is longer than horizon {horizon}"
         )
-    scfg = _sampler_config_from(args, config, seed, model.config)
+    scfg = _sampler_config_from(args, config, model.config)
     samples = generate(model, windows, scfg)
     preds = predictions_to_sequences(samples, model.config.vocab_size)
-    save_jsonl(args.out, preds, model.config.vocab_size, seed=seed)
+    save_jsonl(args.out, preds, model.config.vocab_size, seed=scfg.seed)
     if args.truth_out:
         save_jsonl(args.truth_out, [w.target for w in windows],
-                   model.config.vocab_size, seed=seed)
+                   model.config.vocab_size, seed=scfg.seed)
     print(f"sampled {len(preds)} windows (L={horizon}, S={scfg.steps}) to {args.out}")
     return 0
 
@@ -235,18 +238,16 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args.seed, config, "evaluate", "seed", config.get("seed", 0)))
-    delete_cost = float(
-        _pick(args.delete_cost, config, "otd", "delete_cost", 1.0)
-    )
-    mode = _pick(args.rmse_y_mode, config, "evaluate", "rmse_y_mode", "counts")
+    otd_cfg = OtdConfig.from_dict(_section(config, "otd", args, "delete_cost"))
+    settings = _section(config, "evaluate", args, "rmse_y_mode", "seed")
+    seed = settings.pop("seed")
     preds = load_jsonl(args.pred)
     truths = load_jsonl(args.truth)
-    report = evaluate_windows(preds, truths, OtdConfig(delete_cost), mode)
+    report = evaluate_windows(preds, truths, otd_cfg, **settings)
     doc = {
         "version": REPORT_VERSION,
         "seed": seed,
-        "config": {"delete_cost": delete_cost, "rmse_y_mode": mode},
+        "config": {**otd_cfg.to_dict(), "rmse_y_mode": report.rmse_y_mode},
         **report.to_dict(),
     }
     _write_report(args.out, doc)
@@ -263,6 +264,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hist(args) -> int:
+    _load_config(args.config)  # hist reads no setting, but rejects a bad file
     sequences = load_jsonl(args.data)
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
@@ -283,55 +285,34 @@ def cmd_pipeline(args) -> int:
     import os
 
     config = _load_config(args.config)
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config["seed"]
     k = int(args.seeds)
     if k < 1:
         raise ValidationError(f"--seeds must be >= 1, got {k}")
     os.makedirs(args.workdir, exist_ok=True)
-    n = int(_pick(args.num_seqs, config, "simulate", "num_seqs", 200))
-    n_eval = int(_pick(args.eval_seqs, config, "simulate", "eval_seqs", 50))
-    length = int(_pick(args.length, config, "simulate", "length", 40))
-    kind = _pick(args.kind, config, "simulate", "kind", "poisson")
+    sim = _simulate_settings(config, args, num_seqs=200, eval_seqs=50)
+    n, n_eval, kind = sim["num_seqs"], sim["eval_seqs"], sim["kind"]
 
     train_path = os.path.join(args.workdir, "train.jsonl")
     eval_path = os.path.join(args.workdir, "eval.jsonl")
-    train_seqs, vocab = _simulate_sequences(kind, args, config, seed, n, length,
-                                            stream=2)
-    eval_seqs, _ = _simulate_sequences(kind, args, config, seed, n_eval, length,
-                                       stream=5)
+    train_seqs, vocab = _simulate_sequences(sim, seed, n, stream=2)
+    eval_seqs, _ = _simulate_sequences(sim, seed, n_eval, stream=5)
     save_jsonl(train_path, train_seqs, vocab, seed=seed)
     save_jsonl(eval_path, eval_seqs, vocab, seed=seed)
     print(f"pipeline data: {n} train / {n_eval} eval {kind} sequences in {args.workdir}")
 
     per_seed = []
     for i in range(k):
-        run_seed = seed + i
         ckpt = os.path.join(args.workdir, f"model_{i}.json")
         pred = os.path.join(args.workdir, f"pred_{i}.jsonl")
         truth = os.path.join(args.workdir, f"truth_{i}.jsonl")
         rep = os.path.join(args.workdir, f"report_{i}.json")
-
-        run = argparse.Namespace(**vars(args))
-        run.seed = run_seed
-        run.data = train_path
-        run.out = ckpt
-        run.trace = None
-        cmd_train(run)
-
-        run = argparse.Namespace(**vars(args))
-        run.seed = run_seed
-        run.checkpoint = ckpt
-        run.data = eval_path
-        run.out = pred
-        run.truth_out = truth
-        cmd_sample(run)
-
-        run = argparse.Namespace(**vars(args))
-        run.seed = run_seed
-        run.pred = pred
-        run.truth = truth
-        run.out = rep
-        cmd_evaluate(run)
+        stages = ((cmd_train, {"data": train_path, "out": ckpt, "trace": None}),
+                  (cmd_sample, {"checkpoint": ckpt, "data": eval_path, "out": pred,
+                                "truth_out": truth}),
+                  (cmd_evaluate, {"pred": pred, "truth": truth, "out": rep}))
+        for command, paths in stages:
+            command(argparse.Namespace(**{**vars(args), "seed": seed + i, **paths}))
 
         with open(rep, encoding="utf-8") as fh:
             per_seed.append(json.load(fh)["aggregate"])
@@ -446,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="flow steps S")
     p.add_argument("--delete-cost", type=float)
     p.add_argument("--rmse-y-mode", choices=["counts", "position"])
-    p.add_argument("--trace")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 

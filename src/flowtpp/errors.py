@@ -1,4 +1,9 @@
-"""Error types shared across modules, mapped to CLI exit codes."""
+"""Error types shared across modules, mapped to CLI exit codes, and the
+check behind every config section: closed keys, typed values."""
+
+import numbers
+import typing
+from dataclasses import MISSING, asdict, fields
 
 
 class ValidationError(ValueError):
@@ -7,3 +12,68 @@ class ValidationError(ValueError):
 
 class NumericalError(FloatingPointError):
     """Non-finite values or a diverged computation (CLI exit code 2)."""
+
+
+# per scalar kind: the class a value must be an instance of, and its name
+_KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
+          str: (str, "string")}
+
+
+def check_value(name: str, value, kind):
+    """value as kind (int, float, str, tuple[int, ...] or tuple[float, ...]),
+    else ValidationError naming name; a bool is not a number."""
+    if kind not in _KINDS:  # a tuple kind, from a list or a tuple
+        item = kind.__args__[0]
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(
+                f"{name} must be a list of {_KINDS[item][1]}s, got {value!r}")
+        return tuple(check_value(name, v, item) for v in value)
+    abc, what = _KINDS[kind]
+    if isinstance(value, abc) and not isinstance(value, bool):
+        return kind(value)
+    raise ValidationError(
+        f"{name} must be {'an' if kind is int else 'a'} {what}, got {value!r}")
+
+
+def check_section(section: str, data, types: dict) -> dict:
+    """One config section, its keys all in types, its values check_value'd."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"config section {section!r} must be an object")
+    unknown = sorted(set(data) - types.keys())
+    if unknown:
+        raise ValidationError(
+            f"unknown {section} config keys: {unknown} "
+            f"({', '.join(f'{section}.{key}' for key in unknown)})")
+    return {key: check_value(f"{section}.{key}", value, types[key])
+            for key, value in data.items()}
+
+
+class Config:
+    """Base of the frozen config dataclasses, one per config-file section
+    (the class keyword section); field_types maps each field to its
+    annotation. Making one converts each field by check_value against its
+    annotation, then runs the subclass's validate()."""
+
+    def __init_subclass__(cls, section: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.section, cls.field_types = section, typing.get_type_hints(cls)
+
+    def __post_init__(self):
+        for name, kind in self.field_types.items():
+            value = getattr(self, name)
+            if type(value) is not kind:  # skips the slower checks of check_value
+                value = check_value(f"{self.section}.{name}", value, kind)
+                object.__setattr__(self, name, value)
+        self.validate()
+
+    @classmethod
+    def from_dict(cls, data):
+        """An instance from a config section, checked by check_section."""
+        data = check_section(cls.section, data, cls.field_types)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise ValidationError(f"{cls.section}.{f.name} is required")
+        return cls(**data)
+
+    def to_dict(self) -> dict:
+        return asdict(self)

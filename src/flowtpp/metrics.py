@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import Config, ValidationError
 from .events import EventSequence
 
 
 @dataclass(frozen=True)
-class OtdConfig:
+class OtdConfig(Config, section="otd"):
     delete_cost: float = 1.0
 
-    def __post_init__(self):
+    def validate(self):
         if not self.delete_cost > 0:
             raise ValidationError(
                 f"delete_cost must be positive, got {self.delete_cost}"
@@ -98,6 +98,7 @@ class MetricReport:
     per_window: dict
     aggregate: dict
     window_count: int
+    rmse_y_mode: str
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +132,20 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
         for name, vals in per.items()
     }
     return MetricReport(per_window=per, aggregate=aggregate,
-                        window_count=len(preds))
+                        window_count=len(preds), rmse_y_mode=rmse_y_mode)
+
+
+def _time_bins(reference: np.ndarray, bins: int, samples) -> tuple:
+    """Edges of bins equal-width inter-time bins over [0, p99 of reference],
+    and per sample its counts in each bin, then above the top edge."""
+    if bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
+    hi = float(np.percentile(reference, 99.0))
+    if hi <= 0:
+        hi = float(reference.max()) or 1.0
+    edges = np.linspace(0.0, hi, bins + 1)
+    return edges, [np.append(np.histogram(d[d <= hi], bins=edges)[0], (d > hi).sum())
+                   for d in samples]
 
 
 @dataclass
@@ -161,15 +175,11 @@ def distribution_summary(sequences, bins: int = 50) -> DistributionSummary:
     marks = np.concatenate([s.marks for s in sequences])
     if dts.size == 0:
         raise ValidationError("no events to summarize")
-    hi = float(np.percentile(dts, 99.0))
-    if hi <= 0:
-        hi = float(dts.max()) or 1.0
-    edges = np.linspace(0.0, hi, bins + 1)
-    counts, _ = np.histogram(dts[dts <= hi], bins=edges)
+    edges, (counts,) = _time_bins(dts, bins, [dts])
     return DistributionSummary(
         bin_edges=edges,
-        time_counts=counts,
-        overflow=int((dts > hi).sum()),
+        time_counts=counts[:-1],
+        overflow=int(counts[-1]),
         mark_counts=np.bincount(marks, minlength=vocab),
     )
 
@@ -185,17 +195,8 @@ def histogram_tv(pred_dts: np.ndarray, truth_dts: np.ndarray,
     truth_dts = np.asarray(truth_dts, dtype=np.float64)
     if pred_dts.size == 0 or truth_dts.size == 0:
         raise ValidationError("histogram_tv needs nonempty samples")
-    hi = float(np.percentile(truth_dts, 99.0))
-    if hi <= 0:
-        hi = float(truth_dts.max()) or 1.0
-    edges = np.linspace(0.0, hi, bins + 1)
-
-    def freqs(d):
-        counts, _ = np.histogram(d[d <= hi], bins=edges)
-        full = np.append(counts, (d > hi).sum()).astype(np.float64)
-        return full / d.size
-
-    return float(0.5 * np.abs(freqs(pred_dts) - freqs(truth_dts)).sum())
+    _, (pred, truth) = _time_bins(truth_dts, bins, [pred_dts, truth_dts])
+    return float(0.5 * np.abs(pred / pred_dts.size - truth / truth_dts.size).sum())
 
 
 def write_time_histogram_csv(path, summary: DistributionSummary,

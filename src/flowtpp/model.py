@@ -10,13 +10,12 @@ on the clean mark.
 from __future__ import annotations
 
 import logging
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import NumericalError, ValidationError
+from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence, ForecastWindow
 from .synthgen import categorical
 
@@ -36,43 +35,23 @@ def sinusoidal_features(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config, section="model"):
     vocab_size: int
     horizon: int
     d: int = 64
     mark_embed_dim: int = 16
     time_embed_dim: int = 16
     t_embed_dim: int = 16
-    vf_hidden: tuple = (128, 128)
-    head_hidden: tuple = (128, 128)
+    vf_hidden: tuple[int, ...] = (128, 128)
+    head_hidden: tuple[int, ...] = (128, 128)
     alpha: float = 1.0
     rate_mode: str = "context"
     manual_rate: float = 1.0
     pi0_mode: str = "uniform"
     lambda_min: float = 1e-6
-    activation: str = "tanh"
 
-    def __post_init__(self):
-        for name in ("vocab_size", "horizon", "d", "mark_embed_dim",
-                     "time_embed_dim", "t_embed_dim"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("vf_hidden", "head_hidden"):
-            widths = getattr(self, name)
-            if not isinstance(widths, (list, tuple)):
-                raise ValidationError(
-                    f"{name} must be a list of integers, got {widths!r}")
-            object.__setattr__(self, name, tuple(_integer(name, w) for w in widths))
-        for name in ("alpha", "manual_rate", "lambda_min"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
+    def validate(self):
         dims = (self.vocab_size, self.horizon, self.d, self.mark_embed_dim,
                 self.time_embed_dim, self.t_embed_dim, *self.vf_hidden,
                 *self.head_hidden)
@@ -95,21 +74,6 @@ class ModelConfig:
     def input_dim(self) -> int:
         return 1 + self.vocab_size + self.t_embed_dim + self.d
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown model config keys: {unknown}")
-        return cls(**data)
-
 
 @dataclass
 class FlowSample:
@@ -119,7 +83,6 @@ class FlowSample:
     x0: np.ndarray
     x1: np.ndarray
     x_t: np.ndarray
-    y0: np.ndarray
     y1: np.ndarray
     y_t: np.ndarray
     window_idx: np.ndarray
@@ -136,10 +99,10 @@ def interpolate_time(x0, x1, t):
 
 
 def corrupt_mark(y1, t, pi0, rng: np.random.Generator) -> np.ndarray:
-    """Mixture draw: keep the clean mark w.p. t, else draw from pi0."""
+    """Mixture draw: keep the clean mark w.p. t, else draw from pi0 (drawn first)."""
     y1 = np.atleast_1d(np.asarray(y1, dtype=np.int64))
-    keep = rng.random(y1.shape[0]) < t
     y0 = categorical(np.asarray(pi0, dtype=np.float64), y1.shape[0], rng)
+    keep = rng.random(y1.shape[0]) < t
     return np.where(keep, y1, y0)
 
 
@@ -462,37 +425,21 @@ class Model:
     def build_flow_batch(self, windows, rng: np.random.Generator) -> FlowSample:
         """Independent-coupling draws: every target event gets its own
         (t, x0, y_t); endpoints x1/y1 come from the window targets."""
-        ts, x0s, x1s, y0s, y1s, yts, widx = [], [], [], [], [], [], []
-        for i, w in enumerate(windows):
-            lam = self.window_rate(w.context)
-            pi0 = self.window_pi0(w.context)
-            n = w.horizon
-            t = rng.random(n)
-            x0 = np.maximum(rng.exponential(1.0 / lam, size=n), 1e-300)
-            x1 = w.target.inter_times
-            y1 = w.target.marks
-            y0 = categorical(pi0, n, rng)
-            keep = rng.random(n) < t
-            y_t = np.where(keep, y1, y0)
+        ts, x0s, yts = [], [], []
+        for w in windows:
+            lam, pi0 = self.window_rate(w.context), self.window_pi0(w.context)
+            t = rng.random(w.horizon)
             ts.append(t)
-            x0s.append(x0)
-            x1s.append(x1)
-            y0s.append(y0)
-            y1s.append(y1)
-            yts.append(y_t)
-            widx.append(np.full(n, i, dtype=np.int64))
-        t = np.concatenate(ts)
-        x0 = np.concatenate(x0s)
-        x1 = np.concatenate(x1s)
+            x0s.append(np.maximum(rng.exponential(1.0 / lam, size=w.horizon), 1e-300))
+            yts.append(corrupt_mark(w.target.marks, t, pi0, rng))
+        t, x0 = np.concatenate(ts), np.concatenate(x0s)
+        x1 = np.concatenate([w.target.inter_times for w in windows])
+        horizons = [w.horizon for w in windows]
         return FlowSample(
-            t=t,
-            x0=x0,
-            x1=x1,
-            x_t=interpolate_time(x0, x1, t),
-            y0=np.concatenate(y0s),
-            y1=np.concatenate(y1s),
+            t=t, x0=x0, x1=x1, x_t=interpolate_time(x0, x1, t),
+            y1=np.concatenate([w.target.marks for w in windows]),
             y_t=np.concatenate(yts),
-            window_idx=np.concatenate(widx),
+            window_idx=np.repeat(np.arange(len(windows), dtype=np.int64), horizons),
         )
 
     # ---- loss --------------------------------------------------------------
@@ -579,14 +526,20 @@ class Model:
     def from_checkpoint(cls, path) -> "Model":
         cfg_doc, state = nn.load_checkpoint(path)
         model_cfg = cfg_doc.get("model", cfg_doc)
+        if isinstance(model_cfg, dict):
+            # version-1 checkpoints may store the networks' only activation
+            activation = model_cfg.pop("activation", "tanh")
+            if activation != "tanh":
+                raise ValidationError(f"checkpoint {path}: model.activation "
+                                      f"{activation!r} is not supported, only tanh")
         model = cls(ModelConfig.from_dict(model_cfg), init=False)
         model.store.load_state(state)
         return model
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
+class TrainConfig(Config, section="train"):
+    epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
     beta1: float = 0.9
@@ -594,16 +547,13 @@ class TrainConfig:
     eps_opt: float = 1e-8
     seed: int = 0
 
-    def __post_init__(self):
+    def validate(self):
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr > 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def train(model: Model, windows, cfg: TrainConfig) -> list:

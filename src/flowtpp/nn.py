@@ -335,15 +335,13 @@ class ParamStore:
             t.data = flat.reshape(shape)
 
 
-def mlp_forward(params: ParamStore, input, layer_sizes, activation: str = "tanh",
+def mlp_forward(params: ParamStore, input, layer_sizes,
                 prefix: str = "mlp") -> Tensor:
-    """Affine+activation stack; the final layer is linear.
+    """Affine+tanh stack; the final layer is linear.
 
     Expects parameters at `{prefix}.{i}.W` / `{prefix}.{i}.b` with shapes
     (layer_sizes[i], layer_sizes[i+1]) and (layer_sizes[i+1],).
     """
-    if activation != "tanh":
-        raise ValidationError(f"unsupported activation {activation!r}")
     h = as_tensor(input)
     n_layers = len(layer_sizes) - 1
     for i in range(n_layers):
@@ -428,10 +426,9 @@ def load_checkpoint(path) -> tuple:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"checkpoint {path}: unsupported version {doc.get('version')!r}"
-        )
-    if "config" not in doc or "params" not in doc:
-        raise ValidationError(f"checkpoint {path}: missing config or params")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
+    if not isinstance(doc.get("config"), dict) or "params" not in doc:
+        raise ValidationError(f"checkpoint {path}: missing config object or params")
     return doc["config"], doc["params"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence
 from .model import Model
 from .nn import softmax
@@ -27,7 +27,7 @@ _T_SINGULARITY = 1e-9
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Config, section="sampler"):
     """Integration settings. The noise policy (rate and base mark
     distribution) is the model's own, saved with its checkpoint."""
 
@@ -37,7 +37,7 @@ class SamplerConfig:
     seed: int = 0
     chunk_size: int = 256
 
-    def __post_init__(self):
+    def validate(self):
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not (self.eps_time > 0 and self.eps_prob > 0):

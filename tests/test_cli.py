@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import flowtpp
 from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
                      make_windows)
+from flowtpp import cli
 from flowtpp.cli import main
 
 SMALL_MODEL = {
@@ -168,6 +170,111 @@ class TestMalformedModelSection:
         assert not (tmp_path / "m.json").exists()
 
 
+def run_cli(argv):
+    """`python -m flowtpp.cli argv` as a process, so an uncaught error would
+    show as a traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(flowtpp.__file__))
+    return subprocess.run([sys.executable, "-m", "flowtpp.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+class TestMalformedConfig:
+    """Every config section is closed and typed: an unknown section or key,
+    or a value of the wrong type, exits 1 naming section.key, with no
+    traceback and no output file."""
+
+    @pytest.mark.parametrize("command,config,named", [
+        ("train", {"train": {"epoch": 1}}, "train.epoch"),
+        ("train", {"train": {"batchsize": 4}}, "train.batchsize"),
+        ("sample", {"sampler": {"stpes": 2}}, "sampler.stpes"),
+        ("sample", {"train": {"epoch": 1, "batchsize": 4},
+                    "sampler": {"stpes": 2}, "trian": {}}, "'trian'"),
+        ("hist", {"bogus": {}}, "'bogus'"),
+        ("train", {"model": {"activation": "relu"}}, "model.activation"),
+        ("train", {"model": {"activation": "tanh"}}, "model.activation"),
+        ("sample", {"sampler": {"steps": 2.7}}, "sampler.steps must be an integer"),
+        ("train", {"train": {"batch_size": "abc"}},
+         "train.batch_size must be an integer"),
+        ("train", {"train": {"epochs": True}}, "train.epochs must be an integer"),
+        ("train", {"train": {"lr": True}}, "train.lr must be a number"),
+        ("simulate", {"simulate": {"num_seqs": "x"}},
+         "simulate.num_seqs must be an integer"),
+        ("simulate", {"simulate": {"excite": [0.3, "x"]}},
+         "simulate.excite must be a number"),
+        ("simulate", {"seed": "x"}, "seed must be an integer"),
+        ("evaluate", {"otd": {"delete_cost": "abc"}},
+         "otd.delete_cost must be a number"),
+        ("evaluate", {"evaluate": {"rmse_y_mode": 1}},
+         "evaluate.rmse_y_mode must be a string"),
+        ("evaluate", {"evaluate": []}, "section 'evaluate' must be an object"),
+        ("train", {"model": {"vocab_size": 5}}, "vocab_size mismatch"),
+    ])
+    def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
+                                command, config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        pred, truth = pred_truth
+        argv = {
+            "simulate": ["simulate", "--out", str(out)],
+            "hist": ["hist", "--data", data_path, "--out-times", str(out),
+                     "--out-marks", str(out)],
+            "train": ["train", "--data", data_path, "--out", str(out),
+                      "--epochs", "1", "--horizon", "4"],
+            "sample": ["sample", "--checkpoint", checkpoint, "--data", data_path,
+                       "--out", str(out)],
+            "evaluate": ["evaluate", "--pred", pred, "--truth", truth,
+                         "--out", str(out)],
+        }[command]
+        proc = run_cli([*argv, "--config", str(cfg)])
+        assert proc.returncode == 1, proc.stderr
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_typed_values_are_used(self, tmp_path, data_path):
+        # an integer is a number, in a number field and in a list of numbers
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "simulate": {"rate": 2, "mark_probs": [0, 1, 0]},
+            "otd": {"delete_cost": 2}}))
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--num-seqs", "2",
+                     "--length", "5", "--out", str(out)]) == 0
+        assert all(np.all(s.marks == 1) for s in load_jsonl(out))
+
+
+class TestCheckpointActivation:
+    """Version-1 checkpoints stored the networks' activation; tanh, the
+    only one they ever had, loads, and anything else exits 1."""
+
+    def rewrite(self, checkpoint, tmp_path, value):
+        doc = json.loads(open(checkpoint).read())
+        doc["config"]["model"]["activation"] = value
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return str(path)
+
+    def test_stored_tanh_samples_as_before(self, tmp_path, checkpoint, data_path):
+        old = self.rewrite(checkpoint, tmp_path, "tanh")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        argv = ["sample", "--data", data_path, "--steps", "2", "--seed", "5"]
+        assert main(argv + ["--checkpoint", checkpoint, "--out", str(a)]) == 0
+        assert main(argv + ["--checkpoint", old, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_stored_relu_exits_1(self, tmp_path, checkpoint, data_path):
+        out = tmp_path / "pred.jsonl"
+        proc = run_cli(["sample", "--checkpoint",
+                        self.rewrite(checkpoint, tmp_path, "relu"),
+                        "--data", data_path, "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert "model.activation 'relu'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestSample:
     def test_output_lines_and_marks(self, tmp_path, checkpoint, data_path):
         out = tmp_path / "pred.jsonl"
@@ -322,6 +429,15 @@ class TestHist:
         assert marks[1] == "mark,count,freq"
         assert len(marks) == 2 + 3
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_rejected(self, tmp_path, data_path, bins, capsys):
+        t, m = tmp_path / "t.csv", tmp_path / "m.csv"
+        rc = main(["hist", "--data", data_path, "--bins", bins,
+                   "--out-times", str(t), "--out-marks", str(m)])
+        assert rc == 1
+        assert "bins must be >= 1" in capsys.readouterr().err
+        assert not t.exists() and not m.exists()
+
     def test_explicit_paths(self, tmp_path, data_path):
         t, m = tmp_path / "t.csv", tmp_path / "m.csv"
         rc = main(["hist", "--data", data_path, "--out-times", str(t),
@@ -380,3 +496,26 @@ class TestPipeline:
     def test_bad_seed_count(self, tmp_path):
         assert main(["pipeline", "--workdir", str(tmp_path / "w"),
                      "--seeds", "0"]) == 1
+
+
+class TestReadmeConfig:
+    """README's "Config file" block, its // comments stripped, is a config
+    the CLI accepts, and it documents every section and key the CLI takes
+    (the sampler's noise-policy keys are described in prose instead)."""
+
+    def test_documented_config_is_accepted(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("## Config file"):]
+        block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(re.sub(r"//[^\n]*", "", block))
+        cli._load_config(str(path))  # raises on an unknown or mistyped key
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"seed", *cli._SECTIONS}
+        for name, types in cli._SECTIONS.items():
+            documented = set(doc[name])
+            if name == "sampler":
+                documented |= set(cli._NOISE_POLICY_KEYS)
+            assert documented == set(types), name

@@ -1,4 +1,5 @@
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from flowtpp import (
 )
 from flowtpp import nn
 from flowtpp.model import ENCODER_PARAMS, FlowSample
+from flowtpp.synthgen import categorical
 
 # critical values of the chi-squared distribution at p = 0.01
 CHI2_CRIT = {2: 9.210, 3: 11.345}
@@ -79,6 +81,20 @@ class TestModelConfig:
         cfg = tiny_config(d=np.int64(8), vf_hidden=[np.int32(4)])
         assert cfg.d == 8 and type(cfg.d) is int and cfg.vf_hidden == (4,)
 
+    def test_unsupported_activation(self):
+        # the networks have one activation, tanh; it is not a setting
+        for value in ("tanh", "relu"):
+            with pytest.raises(ValidationError, match="model.activation"):
+                ModelConfig.from_dict(
+                    {"vocab_size": 2, "horizon": 4, "activation": value})
+        with pytest.raises(TypeError):
+            nn.mlp_forward(nn.ParamStore(), np.ones((1, 3)), [3, 2],
+                           activation="relu")
+
+    def test_required_sizes(self):
+        with pytest.raises(ValidationError, match="model.vocab_size is required"):
+            ModelConfig.from_dict({"horizon": 4})
+
 
 class TestInterpolateTime:
     def test_endpoints_and_midpoint(self):
@@ -125,6 +141,19 @@ class TestCorruptMark:
         freqs = np.bincount(out, minlength=3) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(freqs - expected) <= 3 * sigma)
+
+
+    def test_draws_pi0_before_keep(self):
+        # build_flow_batch draws through corrupt_mark, so this order fixes
+        # the training stream
+        t = np.linspace(0.0, 1.0, 50)
+        pi0 = np.array([0.2, 0.3, 0.5])
+        y1 = np.arange(50) % 3
+        out = corrupt_mark(y1, t, pi0, np.random.default_rng(8))
+        replay = np.random.default_rng(8)
+        y0 = categorical(pi0, 50, replay)
+        keep = replay.random(50) < t
+        np.testing.assert_array_equal(out, np.where(keep, y1, y0))
 
 
 class TestRateAndPi0:
@@ -447,7 +476,7 @@ class TestLosses:
         w = self.windows[0]
         batch = FlowSample(
             t=np.array([0.5]), x0=np.array([1.0]), x1=np.array([3.0]),
-            x_t=np.array([2.0]), y0=np.array([0]), y1=np.array([1]),
+            x_t=np.array([2.0]), y1=np.array([1]),
             y_t=np.array([1]), window_idx=np.array([0]),
         )
         h_c = model.encode_contexts([w.context])
@@ -461,7 +490,7 @@ class TestLosses:
         w = self.windows[0]
         batch = FlowSample(
             t=np.array([0.25]), x0=np.array([1.0]), x1=np.array([3.0]),
-            x_t=np.array([1.5]), y0=np.array([0]), y1=np.array([1]),
+            x_t=np.array([1.5]), y1=np.array([1]),
             y_t=np.array([0]), window_idx=np.array([0]),
         )
         h_c = model.encode_contexts([w.context])
@@ -481,7 +510,7 @@ class TestLosses:
         w = self.windows[0]
         batch = FlowSample(
             t=np.array([0.5]), x0=np.array([1.0]), x1=np.array([1.0]),
-            x_t=np.array([1.0]), y0=np.array([0]), y1=np.array([2]),
+            x_t=np.array([1.0]), y1=np.array([2]),
             y_t=np.array([0]), window_idx=np.array([0]),
         )
         bias = np.zeros(3)
@@ -533,7 +562,7 @@ class TestLosses:
         perm = np.random.default_rng(0).permutation(len(batch))
         shuffled = FlowSample(
             t=batch.t[perm], x0=batch.x0[perm], x1=batch.x1[perm],
-            x_t=batch.x_t[perm], y0=batch.y0[perm], y1=batch.y1[perm],
+            x_t=batch.x_t[perm], y1=batch.y1[perm],
             y_t=batch.y_t[perm], window_idx=batch.window_idx[perm],
         )
         a = float(self.model.loss_total(batch, h_c)[0].data)
@@ -541,7 +570,7 @@ class TestLosses:
         assert abs(a - b) < 1e-12
 
     def test_empty_batch_rejected(self):
-        empty = FlowSample(*[np.zeros(0)] * 7, window_idx=np.zeros(0, dtype=int))
+        empty = FlowSample(*[np.zeros(0)] * 6, window_idx=np.zeros(0, dtype=int))
         h_c = self.model.encode_contexts([self.windows[0].context])
         with pytest.raises(ValidationError):
             self.model.loss_total(empty, h_c)
@@ -632,3 +661,44 @@ class TestModelCheckpoint:
         vb, lb = back.predict(x, y, 0.4, proj_b)
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_array_equal(la, lb)
+
+    def with_activation(self, tmp_path, value):
+        """A version-1 checkpoint as written before the activation setting
+        was removed: its model config stores the activation."""
+        model = Model(tiny_config(), seed=13)
+        path = tmp_path / "v1.json"
+        model.save_checkpoint(path, {"seed": 13})
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 1 and "activation" not in doc["config"]["model"]
+        doc["config"]["model"]["activation"] = value
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return model, path
+
+    def test_stored_tanh_activation_loads(self, tmp_path):
+        model, path = self.with_activation(tmp_path, "tanh")
+        back = Model.from_checkpoint(path)
+        assert back.config == model.config
+        ctx = EventSequence(np.array([0.5, 1.0]), np.array([0, 1]), 3)
+        x, y = np.array([0.5, 0.7]), np.array([0, 2])
+        proj_a = np.repeat(model.project_contexts([ctx]), 2, axis=0)
+        proj_b = np.repeat(back.project_contexts([ctx]), 2, axis=0)
+        for a, b in zip(model.predict(x, y, 0.4, proj_a),
+                        back.predict(x, y, 0.4, proj_b)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("doc,named", [
+        ([1, 2], "unsupported version"),
+        ({"version": 1, "config": [], "params": {}}, "missing config object"),
+        ({"version": 1, "config": {"model": "x"}, "params": {}},
+         "'model' must be an object"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, doc, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=named):
+            Model.from_checkpoint(path)
+
+    def test_stored_other_activation_rejected(self, tmp_path):
+        _, path = self.with_activation(tmp_path, "relu")
+        with pytest.raises(ValidationError, match="model.activation 'relu'"):
+            Model.from_checkpoint(path)

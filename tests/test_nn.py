@@ -150,11 +150,6 @@ class TestMlpForward:
         with pytest.raises(ValidationError, match="mlp.0"):
             nn.mlp_forward(store, np.ones((2, 7)), [3, 4, 2])
 
-    def test_unsupported_activation(self, rng):
-        store = make_mlp(rng, [3, 2])
-        with pytest.raises(ValidationError, match="activation"):
-            nn.mlp_forward(store, np.ones((1, 3)), [3, 2], activation="relu")
-
 
 class TestGruStep:
     def test_zero_params_zero_hidden(self):
