@@ -24,7 +24,6 @@ from .model import (
 from .sampler import (
     SamplerConfig,
     generate,
-    init_noise,
     predictions_to_sequences,
 )
 from .synthgen import HawkesSpec, simulate_hawkes, simulate_poisson
@@ -47,7 +46,6 @@ __all__ = [
     "estimate_pi0",
     "evaluate_windows",
     "generate",
-    "init_noise",
     "interpolate_time",
     "load_jsonl",
     "make_windows",

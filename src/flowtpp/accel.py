@@ -1,35 +1,24 @@
 """Numba acceleration shim.
 
 Hot kernels in :mod:`flowtpp.kernels` are compiled with numba when it is
-installed. Set ``FLOWTPP_NUMBA=0`` to force the pure-Python fallback; the
-kernels are written so both paths execute the same source and produce
-identical results.
+installed (the ``numba`` extra) and run as plain Python otherwise; both
+paths execute the same source and produce identical results.
 """
-
-import os
 
 try:
     import numba as _numba
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _numba = None
-    NUMBA_AVAILABLE = False
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and os.environ.get("FLOWTPP_NUMBA", "1") != "0"
+    NUMBA_ENABLED = True
+except ImportError:
+    NUMBA_ENABLED = False
 
 
-def njit(*args, **kwargs):
-    """``numba.njit`` when acceleration is on, identity decorator otherwise."""
+def njit(**options):
+    """``numba.njit(**options)`` when numba is installed, else a decorator
+    that returns the function unchanged."""
     if NUMBA_ENABLED:
-        return _numba.njit(*args, **kwargs)
-    if args and callable(args[0]) and not kwargs:
-        return args[0]
-
-    def wrap(func):
-        return func
-
-    return wrap
+        return _numba.njit(**options)
+    return lambda func: func
 
 
 def python_impl(func):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, check_section, check_value
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
+    HIST_BINS,
     OtdConfig,
     distribution_summary,
     evaluate_windows,
@@ -46,9 +47,6 @@ def _floats(text: str) -> list:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}")
 
 
-# noise-policy keys a sampler section may repeat; the checkpoint decides them
-_NOISE_POLICY_KEYS = ("rate_mode", "manual_rate", "pi0_mode")
-
 # keys and value types of each config-file section; a config file may hold
 # only these and a top-level integer "seed", the default of a section's seed
 _SECTIONS = {
@@ -58,8 +56,7 @@ _SECTIONS = {
                  "excite": tuple[float, ...], "decay": float},
     "model": ModelConfig.field_types,
     "train": TrainConfig.field_types,
-    "sampler": {**SamplerConfig.field_types,
-                **{key: ModelConfig.field_types[key] for key in _NOISE_POLICY_KEYS}},
+    "sampler": SamplerConfig.field_types,
     "otd": OtdConfig.field_types,
     "evaluate": {"rmse_y_mode": str, "seed": int},
 }
@@ -198,20 +195,6 @@ def cmd_train(args) -> int:
 # ---- sample -----------------------------------------------------------------
 
 
-def _sampler_config_from(args, config: dict,
-                         model_cfg: ModelConfig) -> SamplerConfig:
-    section = _section(config, "sampler", args, "steps", "seed")
-    for key in _NOISE_POLICY_KEYS:
-        value = section.pop(key, None)
-        if value is not None and value != getattr(model_cfg, key):
-            raise ValidationError(
-                f"config sampler.{key}={value!r} disagrees with the checkpoint's "
-                f"model.{key}={getattr(model_cfg, key)!r}; sampling uses the "
-                f"noise policy the model was trained with"
-            )
-    return SamplerConfig.from_dict(section)
-
-
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
     model = Model.from_checkpoint(args.checkpoint)
@@ -222,7 +205,7 @@ def cmd_sample(args) -> int:
         raise ValidationError(
             f"no sequence in {args.data} is longer than horizon {horizon}"
         )
-    scfg = _sampler_config_from(args, config, model.config)
+    scfg = SamplerConfig.from_dict(_section(config, "sampler", args, "steps", "seed"))
     samples = generate(model, windows, scfg)
     preds = predictions_to_sequences(samples, model.config.vocab_size)
     save_jsonl(args.out, preds, model.config.vocab_size, seed=scfg.seed)
@@ -413,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out-times")
     p.add_argument("--out-marks")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=HIST_BINS)
     _add_common(p)
     p.set_defaults(func=cmd_hist)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .errors import ValidationError
 log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
+
+
+def _is_whole(value) -> bool:
+    """A whole number that is not a bool: 3, np.int64(3) or 3.0."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,19 @@ class EventSequence:
 
     def __post_init__(self):
         dts = np.ascontiguousarray(self.inter_times, dtype=np.float64)
-        marks = np.ascontiguousarray(self.marks, dtype=np.int64)
+        marks = np.asarray(self.marks)
         if dts.ndim != 1 or marks.ndim != 1:
             raise ValidationError("inter_times and marks must be 1-d")
+        if not (marks.dtype.kind in "iu" and isinstance(self.marks, np.ndarray)):
+            # item by item: numpy reads the JSON list [1, true] as integers
+            values = (self.marks.tolist() if isinstance(self.marks, np.ndarray)
+                      else self.marks)
+            bad = next((i for i, v in enumerate(values)
+                        if type(v) is not int and not _is_whole(v)), None)
+            if bad is not None:
+                raise ValidationError(
+                    f"mark at index {bad} is not an integer: {values[bad]!r}")
+        marks = np.ascontiguousarray(marks, dtype=np.int64)
         if dts.shape[0] != marks.shape[0]:
             raise ValidationError(
                 f"length mismatch: {dts.shape[0]} inter_times vs {marks.shape[0]} marks"
@@ -147,7 +164,7 @@ def _parse_meta(line: str):
     if not isinstance(meta, dict) or "vocab_size" not in meta:
         raise ValidationError('line 1: expected header {"meta":{"vocab_size":M}}')
     vocab = meta["vocab_size"]
-    if not isinstance(vocab, int) or vocab < 1:
+    if not isinstance(vocab, int) or isinstance(vocab, bool) or vocab < 1:
         raise ValidationError(f"line 1: vocab_size must be a positive integer, got {vocab!r}")
     return meta
 
@@ -190,8 +207,8 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
                 dts = np.asarray(obj["dts"], dtype=np.float64)
             else:
                 dts = to_inter_event(obj["ts"])
-            seq = EventSequence(dts, np.asarray(obj["marks"]), declared)
-        except (ValidationError, TypeError, ValueError) as exc:
+            seq = EventSequence(dts, obj["marks"], declared)
+        except (ValidationError, TypeError, ValueError, OverflowError) as exc:
             log.warning("line %d rejected: %s", lineno, exc)
             continue
         sequences.append(seq)

@@ -1,7 +1,7 @@
 """Scalar-loop kernels: Ogata thinning and the event-alignment grid.
 
-Both functions are compiled with numba (see :mod:`flowtpp.accel`) and fall
-back to the identical pure-Python source when ``FLOWTPP_NUMBA=0``.
+Both functions are compiled with numba when it is installed (see
+:mod:`flowtpp.accel`) and run as the identical pure-Python source otherwise.
 """
 
 import numpy as np

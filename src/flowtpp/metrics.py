@@ -135,6 +135,10 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
                         window_count=len(preds), rmse_y_mode=rmse_y_mode)
 
 
+# inter-time bins of the histograms below, and the default of `flowtpp hist`
+HIST_BINS = 50
+
+
 def _time_bins(reference: np.ndarray, bins: int, samples) -> tuple:
     """Edges of bins equal-width inter-time bins over [0, p99 of reference],
     and per sample its counts in each bin, then above the top edge."""
@@ -165,7 +169,7 @@ class DistributionSummary:
         return self.mark_counts / max(self.mark_counts.sum(), 1)
 
 
-def distribution_summary(sequences, bins: int = 50) -> DistributionSummary:
+def distribution_summary(sequences, bins: int = HIST_BINS) -> DistributionSummary:
     """Histogram of all inter-event times over [0, p99] with one overflow
     bin, plus relative mark frequencies."""
     if not sequences:
@@ -185,7 +189,7 @@ def distribution_summary(sequences, bins: int = 50) -> DistributionSummary:
 
 
 def histogram_tv(pred_dts: np.ndarray, truth_dts: np.ndarray,
-                 bins: int = 50) -> float:
+                 bins: int = HIST_BINS) -> float:
     """Total-variation distance between binned inter-time distributions.
 
     Bin edges come from the truth (0 to its 99th percentile); everything

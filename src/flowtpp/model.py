@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence, ForecastWindow
-from .synthgen import categorical
+from .synthgen import _TINY_DT, categorical
 
 log = logging.getLogger(__name__)
 
@@ -98,15 +98,14 @@ def interpolate_time(x0, x1, t):
     )
 
 
-def corrupt_mark(y1, t, pi0, rng: np.random.Generator) -> np.ndarray:
-    """Mixture draw: keep the clean mark w.p. t, else draw from pi0 (drawn first)."""
+def corrupt_mark(y1, t, y0, rng: np.random.Generator) -> np.ndarray:
+    """Mixture draw: keep the clean mark y1 w.p. t, else the noise mark y0."""
     y1 = np.atleast_1d(np.asarray(y1, dtype=np.int64))
-    y0 = categorical(np.asarray(pi0, dtype=np.float64), y1.shape[0], rng)
     keep = rng.random(y1.shape[0]) < t
     return np.where(keep, y1, y0)
 
 
-def estimate_lambda(context: EventSequence, lambda_min: float = 1e-6) -> float:
+def estimate_lambda(context: EventSequence, lambda_min: float) -> float:
     """Reciprocal of the mean context inter-event time, floored at lambda_min."""
     if len(context) < 1:
         raise ValidationError("cannot estimate a rate from an empty context")
@@ -296,18 +295,21 @@ class Model:
         grads["enc.Uh"] = du_h
         return grads
 
-    # ---- rate / base-mark-distribution policy ------------------------------
+    # ---- source distribution ------------------------------------------------
 
-    def window_rate(self, context: EventSequence) -> float:
-        if self.config.rate_mode == "manual":
-            return self.config.manual_rate
-        return estimate_lambda(context, self.config.lambda_min)
-
-    def window_pi0(self, context: EventSequence) -> np.ndarray:
-        m = self.config.vocab_size
-        if self.config.pi0_mode == "uniform":
-            return np.full(m, 1.0 / m)
-        return estimate_pi0(context, m)
+    def draw_noise(self, context: EventSequence, length: int,
+                   rng: np.random.Generator, floor: float) -> tuple:
+        """Source noise for length events after context, under the model's
+        rate and base-mark policy: x0 ~ Exp(rate) floored at floor, then
+        y0 ~ Cat(pi0). Training and sampling both start the flow here."""
+        cfg = self.config
+        rate = (cfg.manual_rate if cfg.rate_mode == "manual"
+                else estimate_lambda(context, cfg.lambda_min))
+        m = cfg.vocab_size
+        pi0 = (np.full(m, 1.0 / m) if cfg.pi0_mode == "uniform"
+               else estimate_pi0(context, m))
+        x0 = np.maximum(rng.exponential(1.0 / rate, size=length), floor)
+        return x0, categorical(pi0, length, rng)
 
     # ---- networks ----------------------------------------------------------
 
@@ -427,11 +429,11 @@ class Model:
         (t, x0, y_t); endpoints x1/y1 come from the window targets."""
         ts, x0s, yts = [], [], []
         for w in windows:
-            lam, pi0 = self.window_rate(w.context), self.window_pi0(w.context)
             t = rng.random(w.horizon)
+            x0, y0 = self.draw_noise(w.context, w.horizon, rng, _TINY_DT)
             ts.append(t)
-            x0s.append(np.maximum(rng.exponential(1.0 / lam, size=w.horizon), 1e-300))
-            yts.append(corrupt_mark(w.target.marks, t, pi0, rng))
+            x0s.append(x0)
+            yts.append(corrupt_mark(w.target.marks, t, y0, rng))
         t, x0 = np.concatenate(ts), np.concatenate(x0s)
         x1 = np.concatenate([w.target.inter_times for w in windows])
         horizons = [w.horizon for w in windows]

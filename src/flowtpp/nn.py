@@ -323,16 +323,32 @@ class ParamStore:
                 f"parameter mismatch: missing {missing}, unexpected {extra}"
             )
         for path, t in self.params.items():
-            entry = state[path]
-            shape = tuple(entry["shape"])
+            shape, flat = _checked_entry(path, state[path])
             if shape != t.data.shape:
                 raise ValidationError(
                     f"shape mismatch for {path!r}: checkpoint {shape}, model {t.data.shape}"
                 )
-            flat = np.asarray(entry["data"], dtype=np.float64)
             if flat.size != t.data.size:
                 raise ValidationError(f"data length mismatch for {path!r}")
             t.data = flat.reshape(shape)
+
+
+def _checked_entry(path: str, entry) -> tuple:
+    """(shape, flat float64 data) of one state entry: an object with a list
+    of integers "shape" and a list of finite numbers "data"."""
+    entry = entry if isinstance(entry, dict) else {}
+    shape, data = entry.get("shape"), entry.get("data")
+    if not (isinstance(shape, list) and set(map(type, shape)) <= {int}):
+        raise ValidationError(f"parameter {path!r}: shape must be a list of integers")
+    numbers = isinstance(data, list) and set(map(type, data)) <= {float, int}
+    try:
+        flat = np.asarray(data, dtype=np.float64) if numbers else None
+    except OverflowError:  # an integer beyond the float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        raise ValidationError(
+            f"parameter {path!r}: data must be a list of finite numbers")
+    return tuple(shape), flat
 
 
 def mlp_forward(params: ParamStore, input, layer_sizes,
@@ -414,9 +430,10 @@ def save_checkpoint(path, config: dict, store: ParamStore):
         "config": config,
         "params": store.state_dict(),
     }
+    # one dumps and one write: json.dump streams through the slower
+    # pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple:
@@ -429,6 +446,6 @@ def load_checkpoint(path) -> tuple:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
-    if not isinstance(doc.get("config"), dict) or "params" not in doc:
+    if not all(isinstance(doc.get(key), dict) for key in ("config", "params")):
         raise ValidationError(f"checkpoint {path}: missing config object or params")
     return doc["config"], doc["params"]

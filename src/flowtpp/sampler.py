@@ -17,7 +17,6 @@ from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence
 from .model import Model
 from .nn import softmax
-from .synthgen import categorical
 
 # every generate() call counts its invariant checks here; violations also
 # trip asserts inside the loop
@@ -48,17 +47,6 @@ class SamplerConfig(Config, section="sampler"):
     @property
     def h(self) -> float:
         return 1.0 / self.steps
-
-
-def init_noise(config: SamplerConfig, lam: float, pi0, length: int,
-               rng: np.random.Generator) -> tuple:
-    """Initial noise: x ~ Exp(lam) (floored at eps_time), y ~ Cat(pi0)."""
-    if not lam > 0:
-        raise ValidationError(f"rate must be positive, got {lam}")
-    pi0 = np.asarray(pi0, dtype=np.float64)
-    x = np.maximum(rng.exponential(1.0 / lam, size=length), config.eps_time)
-    y = categorical(pi0, length, rng)
-    return x, y
 
 
 def _check_finite(values: np.ndarray, t: float, what: str):
@@ -134,8 +122,9 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
     """Sample L future (inter-time, mark) pairs for each forecast window.
 
     Per window w (global index i): the context term of the networks is
-    projected once (Model.project_contexts); noise from stream [seed, 3, i]
-    at the model's rate and base mark distribution; then S flow_steps.
+    projected once (Model.project_contexts); source noise from
+    Model.draw_noise on stream [seed, 3, i], floored at eps_time; then S
+    flow_steps on the same stream.
     """
     if not windows:
         return []
@@ -154,14 +143,9 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
             np.random.default_rng([config.seed, 3, chunk_start + j])
             for j in range(len(chunk))
         ]
-        xs, ys = [], []
-        for w, rng in zip(chunk, rngs):
-            x_j, y_j = init_noise(config, model.window_rate(w.context),
-                                  model.window_pi0(w.context), w.horizon, rng)
-            xs.append(x_j)
-            ys.append(y_j)
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
+        xs, ys = zip(*(model.draw_noise(w.context, w.horizon, rng, config.eps_time)
+                       for w, rng in zip(chunk, rngs)))
+        x, y = np.concatenate(xs), np.concatenate(ys)
         proj_rows = np.repeat(proj, horizons, axis=0)
         bounds = np.cumsum([0] + horizons)
         streams = list(zip(bounds[:-1], bounds[1:], rngs))

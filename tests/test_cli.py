@@ -275,6 +275,32 @@ class TestCheckpointActivation:
         assert not out.exists()
 
 
+class TestMalformedCheckpoint:
+    """A parameter entry that is not {"shape": [integers], "data": [finite
+    numbers]} exits 1 naming the parameter, with no traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: {**e, "shape": 5},
+        lambda e: {"shape": e["shape"]},
+        lambda e: {**e, "data": ["x", *e["data"][1:]]},
+        lambda e: "vf.0.b",
+        lambda e: {**e, "data": [float("nan"), *e["data"][1:]]},
+    ], ids=["shape-not-list", "no-data", "string-in-data", "entry-string",
+            "nan-in-data"])
+    def test_exits_1_naming_path(self, tmp_path, checkpoint, data_path, corrupt):
+        doc = json.loads(open(checkpoint).read())
+        doc["params"]["vf.0.b"] = corrupt(doc["params"]["vf.0.b"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred.jsonl"
+        proc = run_cli(["sample", "--checkpoint", str(bad), "--data", data_path,
+                        "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert "'vf.0.b'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestSample:
     def test_output_lines_and_marks(self, tmp_path, checkpoint, data_path):
         out = tmp_path / "pred.jsonl"
@@ -323,8 +349,8 @@ def context_checkpoint(workdir, data_path):
 
 
 class TestSampleNoisePolicy:
-    """Sampling draws its noise by the checkpoint's policy; a sampler config
-    section may repeat a policy key but not contradict it."""
+    """Sampling draws its noise by the checkpoint's policy; the sampler
+    config section has no policy keys."""
 
     def sample(self, out, checkpoint, data_path, config=None, tmp_path=None):
         argv = ["sample", "--checkpoint", checkpoint, "--data", data_path,
@@ -365,14 +391,15 @@ class TestSampleNoisePolicy:
         assert "sampler.pi0_mode" in capsys.readouterr().err
         assert not (tmp_path / "pred.jsonl").exists()
 
-    def test_agreeing_sampler_keys_accepted(self, tmp_path, context_checkpoint,
-                                            data_path):
-        plain, repeated = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        assert self.sample(plain, context_checkpoint, data_path) == 0
+    def test_agreeing_sampler_keys_fail(self, tmp_path, context_checkpoint,
+                                        data_path, capsys):
         agree = {"pi0_mode": "context", "rate_mode": "context", "manual_rate": 1.0}
-        assert self.sample(repeated, context_checkpoint, data_path, agree,
-                           tmp_path) == 0
-        assert plain.read_bytes() == repeated.read_bytes()
+        rc = self.sample(tmp_path / "pred.jsonl", context_checkpoint, data_path,
+                         agree, tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert all(f"sampler.{key}" in err for key in agree)
+        assert not (tmp_path / "pred.jsonl").exists()
 
 
 @pytest.fixture(scope="module")
@@ -500,8 +527,7 @@ class TestPipeline:
 
 class TestReadmeConfig:
     """README's "Config file" block, its // comments stripped, is a config
-    the CLI accepts, and it documents every section and key the CLI takes
-    (the sampler's noise-policy keys are described in prose instead)."""
+    the CLI accepts, and it documents every section and key the CLI takes."""
 
     def test_documented_config_is_accepted(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -515,7 +541,4 @@ class TestReadmeConfig:
         doc = json.loads(path.read_text())
         assert set(doc) == {"seed", *cli._SECTIONS}
         for name, types in cli._SECTIONS.items():
-            documented = set(doc[name])
-            if name == "sampler":
-                documented |= set(cli._NOISE_POLICY_KEYS)
-            assert documented == set(types), name
+            assert set(doc[name]) == set(types), name

@@ -53,6 +53,32 @@ class TestEventSequence:
         with pytest.raises(ValidationError):
             seq([1.0], [-1])
 
+    @pytest.mark.parametrize("marks", [
+        [0.7, 1.2], [1.0, 2.5], [True, False], np.array([True, False]),
+        [1, True], ["1", "0"], [0.0, np.nan]])
+    def test_rejects_non_integer_marks(self, marks):
+        with pytest.raises(ValidationError, match="not an integer"):
+            EventSequence([1.0, 2.0], marks, 3)
+
+    def test_whole_marks_accepted(self):
+        for marks in ([0.0, 2.0], np.array([0, 2], dtype=np.int32),
+                      [np.int64(0), np.uint8(2)], (0, 2)):
+            s = EventSequence([1.0, 2.0], marks, 3)
+            np.testing.assert_array_equal(s.marks, [0, 2])
+            assert s.marks.dtype == np.int64
+
+    def test_integer_array_is_not_scanned(self):
+        # one sequence per forecast window: an integer array is checked in O(1)
+        class NoScan(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("marks scanned item by item")
+
+            def tolist(self):
+                raise AssertionError("marks scanned item by item")
+
+        s = EventSequence([1.0, 2.0], np.array([0, 2]).view(NoScan), 3)
+        np.testing.assert_array_equal(s.marks, [0, 2])
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             seq([np.inf], [0])
@@ -160,6 +186,28 @@ class TestJsonl:
             back = load_jsonl(path)
         assert len(back) == 1
         assert any("line 2" in r.message for r in caplog.records)
+
+    def test_non_integer_marks_skip_line(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"meta":{"vocab_size":2}}\n'
+            '{"dts":[1.0,2.0],"marks":[0.7,1.2]}\n'
+            '{"dts":[1.0,2.0],"marks":[true,false]}\n'
+            '{"dts":[1.0,2.0],"marks":[1,0]}\n'
+        )
+        with caplog.at_level("WARNING"):
+            back = load_jsonl(path)
+        assert len(back) == 1
+        np.testing.assert_array_equal(back[0].marks, [1, 0])
+        rejected = [r.message for r in caplog.records if "rejected" in r.message]
+        assert len(rejected) == 2
+        assert "line 2" in rejected[0] and "line 3" in rejected[1]
+
+    def test_bool_vocab_size_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"vocab_size":true}}\n{"dts":[1.0],"marks":[0]}\n')
+        with pytest.raises(ValidationError, match="line 1: vocab_size"):
+            load_jsonl(path)
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

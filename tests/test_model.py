@@ -22,7 +22,7 @@ from flowtpp import (
 )
 from flowtpp import nn
 from flowtpp.model import ENCODER_PARAMS, FlowSample
-from flowtpp.synthgen import categorical
+from flowtpp.synthgen import _TINY_DT, categorical
 
 # critical values of the chi-squared distribution at p = 0.01
 CHI2_CRIT = {2: 9.210, 3: 11.345}
@@ -109,17 +109,23 @@ class TestInterpolateTime:
         np.testing.assert_array_equal(interpolate_time(x0, x1, 1.0), x1)
 
 
+def noisy_marks(y1, t, pi0, rng):
+    """build_flow_batch's mark path: y0 ~ Cat(pi0), then corrupt_mark."""
+    y1 = np.asarray(y1)
+    return corrupt_mark(y1, t, categorical(np.asarray(pi0), y1.shape[0], rng), rng)
+
+
 class TestCorruptMark:
     def test_t_one_keeps_clean_label(self, rng):
         y1 = rng.integers(0, 3, size=500)
-        out = corrupt_mark(y1, 1.0, [1 / 3] * 3, rng)
+        out = noisy_marks(y1, 1.0, [1 / 3] * 3, rng)
         np.testing.assert_array_equal(out, y1)
 
     def test_t_zero_matches_pi0_chi2(self):
         rng = np.random.default_rng(5)
         pi0 = np.array([0.2, 0.3, 0.5])
         n = 10000
-        out = corrupt_mark(np.zeros(n, dtype=int), 0.0, pi0, rng)
+        out = noisy_marks(np.zeros(n, dtype=int), 0.0, pi0, rng)
         counts = np.bincount(out, minlength=3)
         chi2 = float((((counts - n * pi0) ** 2) / (n * pi0)).sum())
         assert chi2 < CHI2_CRIT[2]
@@ -128,7 +134,7 @@ class TestCorruptMark:
         # P(y_t = y1) = t + (1-t) * pi0[y1] = 0.5 + 0.5/4 = 0.625
         rng = np.random.default_rng(6)
         n = 10000
-        out = corrupt_mark(np.full(n, 2), 0.5, [0.25] * 4, rng)
+        out = noisy_marks(np.full(n, 2), 0.5, [0.25] * 4, rng)
         assert abs((out == 2).mean() - 0.625) < 0.02
 
     def test_marginal_matches_mixture_within_3_sigma(self):
@@ -137,31 +143,55 @@ class TestCorruptMark:
         pi0 = np.array([0.5, 0.3, 0.2])
         y1 = 1
         expected = (1 - t) * pi0 + t * np.eye(3)[y1]
-        out = corrupt_mark(np.full(n, y1), t, pi0, rng)
+        out = noisy_marks(np.full(n, y1), t, pi0, rng)
         freqs = np.bincount(out, minlength=3) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(freqs - expected) <= 3 * sigma)
 
-
-    def test_draws_pi0_before_keep(self):
-        # build_flow_batch draws through corrupt_mark, so this order fixes
-        # the training stream
+    def test_mixes_given_noise_marks(self):
+        # one uniform per row decides keep, and nothing else is drawn
         t = np.linspace(0.0, 1.0, 50)
-        pi0 = np.array([0.2, 0.3, 0.5])
         y1 = np.arange(50) % 3
-        out = corrupt_mark(y1, t, pi0, np.random.default_rng(8))
-        replay = np.random.default_rng(8)
-        y0 = categorical(pi0, 50, replay)
+        y0 = (y1 + 1) % 3
+        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+        out = corrupt_mark(y1, t, y0, rng)
         keep = replay.random(50) < t
         np.testing.assert_array_equal(out, np.where(keep, y1, y0))
+        assert rng.random() == replay.random()
+
+
+class TestFlowBatchNoise:
+    @pytest.mark.parametrize("policy", [
+        {"rate_mode": "context", "pi0_mode": "uniform"},
+        {"rate_mode": "manual", "manual_rate": 2.5, "pi0_mode": "context"},
+        {"rate_mode": "context", "pi0_mode": "context"},
+    ])
+    def test_replays_draw_noise(self, policy):
+        # per window, in stream order: t, then Model.draw_noise, then keep
+        model = Model(tiny_config(**policy), seed=0)
+        windows = poisson_windows(5)
+        batch = model.build_flow_batch(windows, np.random.default_rng(12))
+        replay = np.random.default_rng(12)
+        rows = 0
+        for w in windows:
+            span = slice(rows, rows + w.horizon)
+            rows = span.stop
+            t = replay.random(w.horizon)
+            x0, y0 = model.draw_noise(w.context, w.horizon, replay, _TINY_DT)
+            keep = replay.random(w.horizon) < t
+            np.testing.assert_array_equal(batch.t[span], t)
+            np.testing.assert_array_equal(batch.x0[span], x0)
+            np.testing.assert_array_equal(batch.y_t[span],
+                                          np.where(keep, w.target.marks, y0))
+        assert rows == len(batch)
 
 
 class TestRateAndPi0:
     def test_estimate_lambda_examples(self):
         s = EventSequence(np.array([0.5, 1.5]), np.array([0, 0]), 1)
-        assert estimate_lambda(s) == 1.0
+        assert estimate_lambda(s, 1e-6) == 1.0
         s = EventSequence(np.array([2.0]), np.array([0]), 1)
-        assert estimate_lambda(s) == 0.5
+        assert estimate_lambda(s, 1e-6) == 0.5
 
     def test_estimate_lambda_floor(self):
         s = EventSequence(np.array([1e9]), np.array([0]), 1)

@@ -319,6 +319,26 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="mismatch"):
             other.load_state(state)
 
+    @pytest.mark.parametrize("entry", [
+        {"shape": [True, 2], "data": [0.0, 1.0]},
+        {"shape": [1, 2], "data": [0.0, True]},
+        {"shape": [1, 2], "data": [0.0, 10 ** 400]},
+        {"shape": [1, 2], "data": [[0.0, 1.0]]},
+        {"shape": [1, 2], "data": [0.0, float("inf")]},
+        ["shape", "data"],
+    ])
+    def test_malformed_entry_names_path(self, entry):
+        store = nn.ParamStore()
+        store.add("w", np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match="parameter 'w'"):
+            store.load_state({"w": entry})
+
+    def test_integer_data_loads(self):
+        store = nn.ParamStore()
+        store.add("w", np.zeros((1, 2)))
+        store.load_state({"w": {"shape": [1, 2], "data": [3, -1.5]}})
+        np.testing.assert_array_equal(store["w"].data, [[3.0, -1.5]])
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text('{"version": 99, "config": {}, "params": {}}')

@@ -9,8 +9,8 @@ from flowtpp import (
     ModelConfig,
     SamplerConfig,
     ValidationError,
+    estimate_pi0,
     generate,
-    init_noise,
     make_windows,
     predictions_to_sequences,
     simulate_poisson,
@@ -22,6 +22,7 @@ from flowtpp.sampler import (
     flow_step,
     mark_probs,
 )
+from flowtpp.synthgen import categorical
 
 
 def small_windows(n, horizon=4, m=3, seed_hi=31):
@@ -34,8 +35,7 @@ class ConstantField:
     """Duck-typed net: fixed vector field value and flat logits, with the
     model's noise policy (manual rate by default)."""
 
-    window_rate = Model.window_rate
-    window_pi0 = Model.window_pi0
+    draw_noise = Model.draw_noise
 
     def __init__(self, v, vocab_size=3, d=1, manual_rate=1.0):
         self.v = v
@@ -82,8 +82,7 @@ def reference_generate(model, windows, cfg):
     out = []
     for i, w in enumerate(windows):
         rng = np.random.default_rng([cfg.seed, 3, i])
-        x, y = init_noise(cfg, model.window_rate(w.context),
-                          model.window_pi0(w.context), w.horizon, rng)
+        x, y = model.draw_noise(w.context, w.horizon, rng, cfg.eps_time)
         h_rows = h_c.take_rows(np.full(w.horizon, i))
         t = 0.0
         for _ in range(cfg.steps):
@@ -126,28 +125,49 @@ class TestSamplerConfig:
 
 
 class TestInitNoise:
-    def test_exponential_mean(self):
-        rng = np.random.default_rng(0)
-        x, _ = init_noise(SamplerConfig(), 2.0, [1 / 3] * 3, 10000, rng)
-        assert 0.485 < x.mean() < 0.515
-        assert np.all(x >= SamplerConfig().eps_time)
+    """Model.draw_noise, the sampler's initial noise."""
 
-    def test_degenerate_pi0(self):
-        rng = np.random.default_rng(1)
-        _, y = init_noise(SamplerConfig(), 1.0, [1.0, 0.0, 0.0], 200, rng)
-        assert np.all(y == 0)
+    def test_exponential_mean(self):
+        net = ConstantField(0.0, manual_rate=2.0)
+        context = small_windows(1)[0].context
+        x, _ = net.draw_noise(context, 10000, np.random.default_rng(0), 1e-6)
+        assert 0.485 < x.mean() < 0.515
+        assert np.all(x >= 1e-6)
+
+    def test_floor(self):
+        net = ConstantField(0.0, manual_rate=2.0)
+        context = small_windows(1)[0].context
+        x, _ = net.draw_noise(context, 200, np.random.default_rng(1), 0.5)
+        assert x.min() == 0.5 and np.any(x > 0.5)
+
+    def test_context_policy_replays(self):
+        # x ~ Exp(estimate_lambda) first, then y ~ Cat(estimate_pi0)
+        net = ConstantField(0.0)
+        net.config = ModelConfig(vocab_size=3, horizon=4, d=1,
+                                 rate_mode="context", pi0_mode="context")
+        context = EventSequence([0.5, 0.25, 0.75], [2, 2, 0], 3)
+        x, y = net.draw_noise(context, 50, np.random.default_rng(2), 1e-6)
+        replay = np.random.default_rng(2)
+        np.testing.assert_array_equal(
+            x, np.maximum(replay.exponential(0.5, 50), 1e-6))
+        np.testing.assert_array_equal(
+            y, categorical(np.array([2 / 6, 1 / 6, 3 / 6]), 50, replay))
 
     def test_deterministic(self):
-        a = init_noise(SamplerConfig(), 1.5, [0.5, 0.5], 50,
-                       np.random.default_rng(7))
-        b = init_noise(SamplerConfig(), 1.5, [0.5, 0.5], 50,
-                       np.random.default_rng(7))
+        net = ConstantField(0.0, vocab_size=2, manual_rate=1.5)
+        context = small_windows(1, m=2)[0].context
+        a = net.draw_noise(context, 50, np.random.default_rng(7), 1e-6)
+        b = net.draw_noise(context, 50, np.random.default_rng(7), 1e-6)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_bad_rate(self):
+        # the rate is positive by construction: a manual rate must be, and a
+        # context rate is floored at a positive lambda_min
         with pytest.raises(ValidationError):
-            init_noise(SamplerConfig(), 0.0, [1.0], 5, np.random.default_rng(0))
+            ModelConfig(vocab_size=3, horizon=4, rate_mode="manual", manual_rate=0.0)
+        with pytest.raises(ValidationError):
+            ModelConfig(vocab_size=3, horizon=4, lambda_min=0.0)
 
 
 class TestStepTime:
@@ -253,15 +273,18 @@ class TestStepMark:
 class TestGenerate:
     def test_zero_field_keeps_init_noise(self):
         # with v = 0 every time step is the identity, so the returned times
-        # must equal the window's seeded init noise exactly
+        # must equal the window's Model.draw_noise on its stream, floored at
+        # eps_time; the redraw then continues that stream
         net = ConstantField(0.0, manual_rate=2.0)
         windows = small_windows(5)
         cfg = SamplerConfig(steps=1, seed=99)
         out = generate(net, windows, cfg)
         for idx, w in enumerate(windows):
             rng = np.random.default_rng([cfg.seed, 3, idx])
-            x_exp, _ = init_noise(cfg, 2.0, np.full(3, 1 / 3), w.horizon, rng)
+            x_exp, y0 = net.draw_noise(w.context, w.horizon, rng, cfg.eps_time)
+            p_new = mark_probs(net.logits(y0), y0, 0.0, cfg.h, cfg.eps_prob)
             np.testing.assert_array_equal(out[idx][0], x_exp)
+            np.testing.assert_array_equal(out[idx][1], categorical_rows(p_new, rng))
 
     def test_marks_come_from_pre_midpoint_logits(self):
         # main evaluation peaks mark 2, midpoint evaluation peaks mark 0;
@@ -285,17 +308,21 @@ class TestGenerate:
         windows = make_windows(seqs, 4)
         cfg = SamplerConfig(steps=1, seed=8)
         out = generate(net, windows, cfg)
+        uniform = ConstantField(0.0)
+        uniform.config = ModelConfig(vocab_size=3, horizon=4, d=1,
+                                     rate_mode="context", pi0_mode="uniform")
         uniform_marks = []
         for idx, w in enumerate(windows):
-            lam, pi0 = net.window_rate(w.context), net.window_pi0(w.context)
-            np.testing.assert_allclose(pi0, [7 / 9, 1 / 9, 1 / 9])
-            x_exp, y_exp = init_noise(cfg, lam, pi0, w.horizon,
-                                      np.random.default_rng([cfg.seed, 3, idx]))
+            np.testing.assert_allclose(estimate_pi0(w.context, 3),
+                                       [7 / 9, 1 / 9, 1 / 9])
+            x_exp, y_exp = net.draw_noise(w.context, w.horizon,
+                                          np.random.default_rng([cfg.seed, 3, idx]),
+                                          cfg.eps_time)
             np.testing.assert_array_equal(out[idx][0], x_exp)
             np.testing.assert_array_equal(out[idx][1], y_exp)
-            uniform_marks.append(init_noise(
-                cfg, lam, np.full(3, 1 / 3), w.horizon,
-                np.random.default_rng([cfg.seed, 3, idx]))[1])
+            uniform_marks.append(uniform.draw_noise(
+                w.context, w.horizon, np.random.default_rng([cfg.seed, 3, idx]),
+                cfg.eps_time)[1])
         # the policy is visible in the output: uniform noise draws other marks
         assert not np.array_equal(np.concatenate(uniform_marks),
                                   np.concatenate([y for _, y in out]))
