@@ -1,26 +1,9 @@
-"""Numba acceleration shim.
+"""Names the benchmark still imports; ROADMAP item 5 removes those imports,
+and then this module. Nothing is compiled: ``NUMBA_ENABLED`` is False and
+``python_impl`` returns the kernel it is given."""
 
-Hot kernels in :mod:`flowtpp.kernels` are compiled with numba when it is
-installed (the ``numba`` extra) and run as plain Python otherwise; both
-paths execute the same source and produce identical results.
-"""
-
-try:
-    import numba as _numba
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-
-def njit(**options):
-    """``numba.njit(**options)`` when numba is installed, else a decorator
-    that returns the function unchanged."""
-    if NUMBA_ENABLED:
-        return _numba.njit(**options)
-    return lambda func: func
+NUMBA_ENABLED = False
 
 
 def python_impl(func):
-    """Return the pure-Python implementation behind a (possibly jitted) kernel."""
-    return getattr(func, "py_func", func)
+    return func

@@ -21,10 +21,31 @@ log = logging.getLogger(__name__)
 FORMAT_VERSION = 1
 
 
-def _is_whole(value) -> bool:
-    """A whole number that is not a bool: 3, np.int64(3) or 3.0."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and float(value).is_integer())
+def _is_real(value) -> bool:
+    """A real number that is not a bool: 2.5, 3 or np.float32(2.5)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (array dtype kinds accepted whole, test of one item, what an item must be)
+_NUMBER = ("iuf", lambda v: type(v) is float or _is_real(v), "a number")
+_INTEGER = ("iu", lambda v: type(v) is int or _is_real(v) and float(v).is_integer(),
+            "an integer")
+
+
+def _check_items(values, name: str, kind) -> None:
+    """Raise unless every item of ``values`` is of ``kind``.
+
+    A numpy array whose dtype kind is accepted passes whole. Anything else
+    is checked item by item: numpy reads the JSON list [1, true] as numbers
+    and ["2.5"] as 2.5.
+    """
+    kinds, ok, need = kind
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    bad = next((i for i, v in enumerate(items) if not ok(v)), None)
+    if bad is not None:
+        raise ValidationError(f"{name} at index {bad} is not {need}: {items[bad]!r}")
 
 
 @dataclass(frozen=True)
@@ -40,15 +61,8 @@ class EventSequence:
         marks = np.asarray(self.marks)
         if dts.ndim != 1 or marks.ndim != 1:
             raise ValidationError("inter_times and marks must be 1-d")
-        if not (marks.dtype.kind in "iu" and isinstance(self.marks, np.ndarray)):
-            # item by item: numpy reads the JSON list [1, true] as integers
-            values = (self.marks.tolist() if isinstance(self.marks, np.ndarray)
-                      else self.marks)
-            bad = next((i for i, v in enumerate(values)
-                        if type(v) is not int and not _is_whole(v)), None)
-            if bad is not None:
-                raise ValidationError(
-                    f"mark at index {bad} is not an integer: {values[bad]!r}")
+        _check_items(self.inter_times, "inter-event time", _NUMBER)
+        _check_items(self.marks, "mark", _INTEGER)
         marks = np.ascontiguousarray(marks, dtype=np.int64)
         if dts.shape[0] != marks.shape[0]:
             raise ValidationError(
@@ -113,6 +127,7 @@ def to_inter_event(timestamps) -> np.ndarray:
     ts = np.asarray(timestamps, dtype=np.float64)
     if ts.ndim != 1:
         raise ValidationError("timestamps must be 1-d")
+    _check_items(timestamps, "timestamp", _NUMBER)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("non-finite timestamp")
     dts = np.diff(ts, prepend=0.0)
@@ -203,10 +218,7 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
                 f'line {lineno}: expected {{"dts"|"ts":[...],"marks":[...]}}'
             )
         try:
-            if "dts" in obj:
-                dts = np.asarray(obj["dts"], dtype=np.float64)
-            else:
-                dts = to_inter_event(obj["ts"])
+            dts = obj["dts"] if "dts" in obj else to_inter_event(obj["ts"])
             seq = EventSequence(dts, obj["marks"], declared)
         except (ValidationError, TypeError, ValueError, OverflowError) as exc:
             log.warning("line %d rejected: %s", lineno, exc)

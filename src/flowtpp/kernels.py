@@ -1,15 +1,13 @@
 """Scalar-loop kernels: Ogata thinning and the event-alignment grid.
 
-Both functions are compiled with numba when it is installed (see
-:mod:`flowtpp.accel`) and run as the identical pure-Python source otherwise.
+Both loop over Python floats and ints taken once with ``.tolist()``. Their
+float operations match the numpy loop in ``tests/kernel_reference.py`` one
+for one and in order, so results are bit-identical to it.
 """
 
 import numpy as np
 
-from .accel import njit
 
-
-@njit(cache=True)
 def hawkes_thinning(base_rates, excite, decay, n_events, uniforms, out_dts, out_marks):
     """Thinning inner loop for an exponential-kernel self-exciting process.
 
@@ -23,83 +21,82 @@ def hawkes_thinning(base_rates, excite, decay, n_events, uniforms, out_dts, out_
     so the total intensity at the last accepted event (or at the last
     rejected candidate) is an exact upper bound for the next proposal.
 
+    ``np.log1p``/``np.exp`` stay: ``math`` rounds differently on some inputs.
+
     Returns (events_emitted, uniforms_consumed).
     """
-    n_types = base_rates.shape[0]
-    excitation = np.zeros(n_types)
+    base = base_rates.tolist()
+    jumps = excite.T.tolist()  # jumps[j][k] = excite[k, j]
+    types = range(len(base))
+    excitation = [0.0] * len(base)
+    u = uniforms.tolist()
+    # 1 - u is in (0, 1], so the log is finite
+    exposures = (-np.log1p(-uniforms)).tolist()
+    exp = np.exp
+    last = len(u) - 3
+    dts, marks = [], []
     gap = 0.0
     pos = 0
-    emitted = 0
 
-    total_base = 0.0
-    for k in range(n_types):
-        total_base += base_rates[k]
-    bound = total_base
+    bound = 0.0
+    for rate in base:
+        bound += rate
 
-    while emitted < n_events:
-        if pos + 3 > uniforms.shape[0]:
-            return emitted, pos
-        # 1 - u is in (0, 1], so the log is finite
-        wait = -np.log1p(-uniforms[pos]) / bound
-        pos += 1
-        shrink = np.exp(-decay * wait)
+    while len(dts) < n_events and pos <= last:
+        wait = exposures[pos] / bound
+        shrink = float(exp(-decay * wait))
         lam_cand = 0.0
-        for k in range(n_types):
+        for k in types:
             excitation[k] *= shrink
-            lam_cand += base_rates[k] + excitation[k]
+            lam_cand += base[k] + excitation[k]
         # exact bound (monotone decay) => acceptance ratio in (0, 1]
         assert lam_cand <= bound * (1.0 + 1e-12)
         gap += wait
-        accept = uniforms[pos] * bound
-        pos += 1
-        if accept <= lam_cand:
-            draw = uniforms[pos] * lam_cand
-            pos += 1
+        if u[pos + 1] * bound <= lam_cand:
+            draw = u[pos + 2] * lam_cand
+            pos += 3
             acc = 0.0
-            mark = n_types - 1
-            for k in range(n_types):
-                acc += base_rates[k] + excitation[k]
+            mark = len(base) - 1
+            for k in types:
+                acc += base[k] + excitation[k]
                 if draw <= acc:
                     mark = k
                     break
-            out_dts[emitted] = gap
-            out_marks[emitted] = mark
+            dts.append(gap)
+            marks.append(mark)
             gap = 0.0
-            emitted += 1
-            for k in range(n_types):
-                excitation[k] += excite[k, mark]
             bound = lam_cand
-            for k in range(n_types):
-                bound += excite[k, mark]
+            for k, jump in enumerate(jumps[mark]):
+                excitation[k] += jump
+                bound += jump
         else:
+            pos += 2
             bound = lam_cand
-    return emitted, pos
+    out_dts[:len(dts)] = dts
+    out_marks[:len(marks)] = marks
+    return len(dts), pos
 
 
-@njit(cache=True)
 def otd_align(a_times, a_marks, b_times, b_marks, delete_cost):
     """Minimum-cost order-preserving alignment of two marked event streams.
 
     Aligned pairs must share a mark and cost the absolute arrival-time
     difference; every unmatched event costs ``delete_cost``. Standard
-    O(n*m) edit-distance grid.
+    O(n*m) edit-distance grid, kept as two rolling rows.
     """
-    n = a_times.shape[0]
-    m = b_times.shape[0]
-    grid = np.empty((n + 1, m + 1))
-    for i in range(n + 1):
-        grid[i, 0] = i * delete_cost
-    for j in range(m + 1):
-        grid[0, j] = j * delete_cost
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            best = grid[i - 1, j] + delete_cost
-            skip_b = grid[i, j - 1] + delete_cost
-            if skip_b < best:
-                best = skip_b
-            if a_marks[i - 1] == b_marks[j - 1]:
-                match = grid[i - 1, j - 1] + abs(a_times[i - 1] - b_times[j - 1])
-                if match < best:
-                    best = match
-            grid[i, j] = best
-    return grid[n, m]
+    d = float(delete_cost)
+    bt, bm = b_times.tolist(), b_marks.tolist()
+    prev = [j * d for j in range(len(bt) + 1)]
+    for i, (ta, ma) in enumerate(zip(a_times.tolist(), a_marks.tolist()), 1):
+        left = i * d
+        row = [left]
+        for up, diag, tb, mb in zip(prev[1:], prev, bt, bm):
+            # min(up, left) + d == min(up + d, left + d): rounding is monotone
+            left = (up if up < left else left) + d
+            if ma == mb:
+                match = diag + abs(ta - tb)
+                if match < left:
+                    left = match
+            row.append(left)
+        prev = row
+    return prev[-1]

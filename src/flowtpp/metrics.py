@@ -127,9 +127,10 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
         per["rmse_x"].append(rmse_x(p, t))
         per["rmse_y"].append(rmse_y(p, t, rmse_y_mode))
         per["smape"].append(smape(p, t))
+    table = np.array(list(per.values()))
     aggregate = {
-        name: {"mean": float(np.mean(vals)), "sd": float(np.std(vals))}
-        for name, vals in per.items()
+        name: {"mean": float(mean), "sd": float(sd)}
+        for name, mean, sd in zip(per, table.mean(axis=1), table.std(axis=1))
     }
     return MetricReport(per_window=per, aggregate=aggregate,
                         window_count=len(preds), rmse_y_mode=rmse_y_mode)

@@ -1,12 +1,17 @@
-"""Shared test helpers: finite-difference gradient checking and a
-brute-force alignment-cost oracle."""
+"""Shared test helpers: finite-difference gradient checking, a
+brute-force alignment-cost oracle, and the hypothesis profile."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowtpp import nn
+
+# the same examples on every run, however long each one takes
+settings.register_profile("flowtpp", derandomize=True, deadline=None, database=None)
+settings.load_profile("flowtpp")
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4

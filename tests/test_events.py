@@ -19,6 +19,16 @@ def seq(dts, marks, m=3):
     return EventSequence(np.asarray(dts, float), np.asarray(marks), m)
 
 
+class NoScan(np.ndarray):
+    """An array that fails any item-by-item read."""
+
+    def __iter__(self):
+        raise AssertionError("array scanned item by item")
+
+    def tolist(self):
+        raise AssertionError("array scanned item by item")
+
+
 class TestEventSequence:
     def test_basic_fields(self):
         s = seq([0.5, 1.0], [0, 2])
@@ -67,17 +77,25 @@ class TestEventSequence:
             np.testing.assert_array_equal(s.marks, [0, 2])
             assert s.marks.dtype == np.int64
 
+    @pytest.mark.parametrize("dts", [
+        [True, 2.5], np.array([True, False]), [1.0, "2.5"], ["1", "2"], [1.0, None]])
+    def test_rejects_non_number_inter_times(self, dts):
+        with pytest.raises(ValidationError, match="inter-event time at index"):
+            EventSequence(dts, [0, 1], 3)
+
+    def test_number_inter_times_accepted(self):
+        for dts in ([1, 2.5], (np.float32(1.0), np.int64(2)), np.array([1, 2])):
+            s = EventSequence(dts, [0, 1], 3)
+            np.testing.assert_array_equal(s.inter_times, np.asarray(dts, float))
+
     def test_integer_array_is_not_scanned(self):
         # one sequence per forecast window: an integer array is checked in O(1)
-        class NoScan(np.ndarray):
-            def __iter__(self):
-                raise AssertionError("marks scanned item by item")
-
-            def tolist(self):
-                raise AssertionError("marks scanned item by item")
-
         s = EventSequence([1.0, 2.0], np.array([0, 2]).view(NoScan), 3)
         np.testing.assert_array_equal(s.marks, [0, 2])
+
+    def test_float_array_is_not_scanned(self):
+        s = EventSequence(np.array([1.0, 2.0]).view(NoScan), [0, 2], 3)
+        np.testing.assert_array_equal(s.inter_times, [1.0, 2.0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -99,6 +117,15 @@ class TestToInterEvent:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValidationError, match="index 2"):
             to_inter_event([1.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("ts", [["1", 2.0], [True, 2.0], np.array([True])])
+    def test_rejects_non_number_timestamps(self, ts):
+        with pytest.raises(ValidationError, match="timestamp at index 0"):
+            to_inter_event(ts)
+
+    def test_float_array_is_not_scanned(self):
+        np.testing.assert_array_equal(
+            to_inter_event(np.array([1.0, 3.0]).view(NoScan)), [1.0, 2.0])
 
     def test_rejects_nonpositive_first(self):
         with pytest.raises(ValidationError):
@@ -202,6 +229,23 @@ class TestJsonl:
         rejected = [r.message for r in caplog.records if "rejected" in r.message]
         assert len(rejected) == 2
         assert "line 2" in rejected[0] and "line 3" in rejected[1]
+
+    def test_non_number_times_skip_line(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"meta":{"vocab_size":2}}\n'
+            '{"dts":[true,"2.5"],"marks":[1,0]}\n'
+            '{"ts":["1",2.0],"marks":[1,0]}\n'
+            '{"dts":[1,2.5],"marks":[1,0]}\n'
+        )
+        with caplog.at_level("WARNING"):
+            back = load_jsonl(path)
+        assert len(back) == 1
+        np.testing.assert_array_equal(back[0].inter_times, [1.0, 2.5])
+        rejected = [r.message for r in caplog.records if "rejected" in r.message]
+        assert len(rejected) == 2
+        assert "line 2" in rejected[0] and "inter-event time" in rejected[0]
+        assert "line 3" in rejected[1] and "timestamp" in rejected[1]
 
     def test_bool_vocab_size_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -218,6 +218,14 @@ class TestEvaluateWindows:
             assert abs(a[name]["mean"] - b[name]["mean"]) < 1e-12
             assert abs(a[name]["sd"] - b[name]["sd"]) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_aggregate_equals_per_column_reductions(self, n):
+        pairs = self.make_pairs(n, seed=n)
+        report = evaluate_windows([p for p, _ in pairs], [t for _, t in pairs])
+        for name, vals in report.per_window.items():
+            assert report.aggregate[name] == {"mean": float(np.mean(vals)),
+                                              "sd": float(np.std(vals))}
+
     def test_count_mismatch(self):
         pairs = self.make_pairs(3)
         with pytest.raises(ValidationError, match="count"):
