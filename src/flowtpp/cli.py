@@ -11,14 +11,18 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_section, check_value
+from .errors import (Config, NumericalError, ValidationError, check_section,
+                     check_value)
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     HIST_BINS,
+    EvaluateConfig,
     OtdConfig,
+    aggregate,
     distribution_summary,
     evaluate_windows,
     write_mark_frequency_csv,
@@ -47,19 +51,48 @@ def _floats(text: str) -> list:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}")
 
 
-# keys and value types of each config-file section; a config file may hold
-# only these and a top-level integer "seed", the default of a section's seed
-_SECTIONS = {
-    "simulate": {"kind": str, "num_seqs": int, "eval_seqs": int, "length": int,
-                 "seed": int, "rate": float, "vocab_size": int,
-                 "mark_probs": tuple[float, ...], "base_rates": tuple[float, ...],
-                 "excite": tuple[float, ...], "decay": float},
-    "model": ModelConfig.field_types,
-    "train": TrainConfig.field_types,
-    "sampler": SamplerConfig.field_types,
-    "otd": OtdConfig.field_types,
-    "evaluate": {"rmse_y_mode": str, "seed": int},
-}
+@dataclass(frozen=True)
+class SimulateConfig(Config, section="simulate"):
+    """Synthetic data for `simulate` and `pipeline`. rate, vocab_size and
+    mark_probs (empty: uniform) drive a Poisson process; base_rates, the
+    row-major excite matrix and decay a Hawkes process."""
+
+    kind: str = "poisson"
+    num_seqs: int = 100
+    eval_seqs: int = 50
+    length: int = 40
+    seed: int = 0
+    rate: float = 1.0
+    vocab_size: int = 3
+    mark_probs: tuple[float, ...] = ()
+    base_rates: tuple[float, ...] = (0.25, 0.25)
+    excite: tuple[float, ...] = (0.3, 0.1, 0.1, 0.3)
+    decay: float = 1.0
+
+    def validate(self):
+        for key in ("num_seqs", "eval_seqs", "length"):
+            if getattr(self, key) < 1:
+                raise ValidationError(
+                    f"simulate.{key} must be >= 1, got {getattr(self, key)}")
+        if self.kind not in ("poisson", "hawkes"):
+            raise ValidationError(f"unknown process kind {self.kind!r}")
+        if (self.kind == "poisson" and self.mark_probs
+                and len(self.mark_probs) != self.vocab_size):
+            raise ValidationError(
+                f"simulate.mark_probs has {len(self.mark_probs)} entries, "
+                f"simulate.vocab_size is {self.vocab_size}")
+        m = len(self.base_rates)
+        if self.kind == "hawkes" and len(self.excite) != m * m:
+            raise ValidationError(
+                f"excite needs {m * m} entries (row-major {m}x{m}), "
+                f"got {len(self.excite)}")
+
+
+# keys and value types of each config-file section, one Config class each; a
+# config file may hold only these and a top-level integer "seed"
+_SECTIONS = {cls.section: cls.field_types for cls in (
+    SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
+    EvaluateConfig)}
 
 
 def _load_config(path) -> dict:
@@ -83,15 +116,28 @@ def _load_config(path) -> dict:
     config = {"seed": check_value("seed", doc.get("seed", 0), int)}
     for name, types in _SECTIONS.items():
         config[name] = check_section(name, doc.get(name, {}), types)
-        if "seed" in types:
-            config[name].setdefault("seed", config["seed"])
     return config
 
 
 def _section(config: dict, name: str, args, *flags) -> dict:
-    """Precedence: explicit flag > config file section (same key names)."""
-    return {**config[name], **{key: getattr(args, key) for key in flags
-                               if getattr(args, key, None) is not None}}
+    """Precedence: explicit flag > config file section (same key names) >
+    the top-level seed, for a section with a seed."""
+    seed = {"seed": config["seed"]} if "seed" in _SECTIONS[name] else {}
+    return {**seed, **config[name], **{key: getattr(args, key) for key in flags
+                                       if getattr(args, key, None) is not None}}
+
+
+def _windows(path, horizon: int, vocab_size=None) -> list:
+    """The forecast windows of the dataset at path; none is an error."""
+    windows = make_windows(load_jsonl(path, vocab_size), horizon)
+    if not windows:
+        raise ValidationError(f"no sequence in {path} is longer than horizon {horizon}")
+    return windows
+
+
+def _summary(columns: dict) -> str:
+    return "  ".join(f"{name}={agg['mean']:.4f}±{agg['sd']:.4f}"
+                     for name, agg in sorted(columns.items()))
 
 
 def _write_report(path, doc: dict):
@@ -103,49 +149,31 @@ def _write_report(path, doc: dict):
 # ---- simulate ---------------------------------------------------------------
 
 
-def _simulate_settings(config: dict, args, **sizes) -> dict:
-    """The simulate section under its flags, over the command's defaults."""
-    return {"kind": "poisson", "length": 40, "rate": 1.0, "vocab_size": 3,
-            "base_rates": (0.25, 0.25), "excite": (0.3, 0.1, 0.1, 0.3),
-            "decay": 1.0, **sizes,
-            **_section(config, "simulate", args, *_SECTIONS["simulate"])}
-
-
-def _simulate_sequences(sim: dict, seed: int, n: int, stream: int = 2):
-    kind, length = sim["kind"], sim["length"]
-    if kind == "poisson":
-        vocab = sim["vocab_size"]
-        probs = sim.get("mark_probs")
-        probs = np.full(vocab, 1.0 / vocab) if probs is None else np.asarray(probs)
+def _simulate_sequences(sim: SimulateConfig, seed: int, n: int, stream: int = 2):
+    if sim.kind == "poisson":
+        m = sim.vocab_size
+        probs = np.asarray(sim.mark_probs or np.full(m, 1.0 / m))
         seqs = [
-            simulate_poisson(sim["rate"], probs, length, seed=[seed, stream, i])
+            simulate_poisson(sim.rate, probs, sim.length, seed=[seed, stream, i])
             for i in range(n)
         ]
-        return seqs, probs.shape[0]
-    if kind == "hawkes":
-        base, excite = sim["base_rates"], sim["excite"]
-        m = len(base)
-        if len(excite) != m * m:
-            raise ValidationError(
-                f"excite needs {m * m} entries (row-major {m}x{m}), got {len(excite)}"
-            )
-        spec = HawkesSpec(np.asarray(base), np.asarray(excite).reshape(m, m),
-                          sim["decay"])
-        seqs = [
-            simulate_hawkes(spec, length, seed=[seed, stream, i]) for i in range(n)
-        ]
         return seqs, m
-    raise ValidationError(f"unknown process kind {kind!r}")
+    m = len(sim.base_rates)
+    spec = HawkesSpec(np.asarray(sim.base_rates),
+                      np.asarray(sim.excite).reshape(m, m), sim.decay)
+    seqs = [
+        simulate_hawkes(spec, sim.length, seed=[seed, stream, i]) for i in range(n)
+    ]
+    return seqs, m
 
 
 def cmd_simulate(args) -> int:
-    sim = _simulate_settings(_load_config(args.config), args, num_seqs=100)
-    n, length, kind = sim["num_seqs"], sim["length"], sim["kind"]
-    if n < 1 or length < 1:
-        raise ValidationError("num-seqs and length must be positive")
-    seqs, vocab = _simulate_sequences(sim, sim["seed"], n)
-    save_jsonl(args.out, seqs, vocab, seed=sim["seed"])
-    print(f"wrote {n} {kind} sequences (M={vocab}, length={length}) to {args.out}")
+    sim = SimulateConfig.from_dict(
+        _section(_load_config(args.config), "simulate", args, *_SECTIONS["simulate"]))
+    seqs, vocab = _simulate_sequences(sim, sim.seed, sim.num_seqs)
+    save_jsonl(args.out, seqs, vocab, seed=sim.seed)
+    print(f"wrote {sim.num_seqs} {sim.kind} sequences (M={vocab}, "
+          f"length={sim.length}) to {args.out}")
     return 0
 
 
@@ -167,18 +195,11 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     train_cfg = TrainConfig.from_dict(
         _section(config, "train", args, "epochs", "batch_size", "lr", "seed"))
-    sequences = load_jsonl(args.data, config["model"].get("vocab_size"))
-    if not sequences:
-        raise ValidationError(f"no usable sequences in {args.data}")
-    model_cfg = ModelConfig.from_dict({
-        "horizon": 20, "vocab_size": sequences[0].vocab_size,
-        **_section(config, "model", args, "horizon")})
-    horizon = model_cfg.horizon
-    windows = make_windows(sequences, horizon)
-    if not windows:
-        raise ValidationError(
-            f"no sequence in {args.data} is longer than horizon {horizon}"
-        )
+    settings = _section(config, "model", args, "horizon")
+    windows = _windows(args.data, settings.get("horizon", ModelConfig.horizon),
+                       settings.get("vocab_size"))
+    model_cfg = ModelConfig.from_dict(
+        {"vocab_size": windows[0].vocab_size, **settings})
     model = Model(model_cfg, seed=train_cfg.seed)
     trace = train(model, windows, train_cfg)
     model.save_checkpoint(args.out,
@@ -198,13 +219,8 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
     model = Model.from_checkpoint(args.checkpoint)
-    horizon = int(args.horizon) if args.horizon is not None else model.config.horizon
-    sequences = load_jsonl(args.data, vocab_size=model.config.vocab_size)
-    windows = make_windows(sequences, horizon)
-    if not windows:
-        raise ValidationError(
-            f"no sequence in {args.data} is longer than horizon {horizon}"
-        )
+    horizon = args.horizon if args.horizon is not None else model.config.horizon
+    windows = _windows(args.data, horizon, model.config.vocab_size)
     scfg = SamplerConfig.from_dict(_section(config, "sampler", args, "steps", "seed"))
     samples = generate(model, windows, scfg)
     preds = predictions_to_sequences(samples, model.config.vocab_size)
@@ -222,23 +238,18 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     otd_cfg = OtdConfig.from_dict(_section(config, "otd", args, "delete_cost"))
-    settings = _section(config, "evaluate", args, "rmse_y_mode", "seed")
-    seed = settings.pop("seed")
-    preds = load_jsonl(args.pred)
-    truths = load_jsonl(args.truth)
-    report = evaluate_windows(preds, truths, otd_cfg, **settings)
+    eval_cfg = EvaluateConfig.from_dict(
+        _section(config, "evaluate", args, "rmse_y_mode", "seed"))
+    report = evaluate_windows(load_jsonl(args.pred), load_jsonl(args.truth),
+                              otd_cfg, eval_cfg.rmse_y_mode)
     doc = {
         "version": REPORT_VERSION,
-        "seed": seed,
-        "config": {**otd_cfg.to_dict(), "rmse_y_mode": report.rmse_y_mode},
+        "seed": eval_cfg.seed,
+        "config": {**otd_cfg.to_dict(), "rmse_y_mode": eval_cfg.rmse_y_mode},
         **report.to_dict(),
     }
     _write_report(args.out, doc)
-    summary = "  ".join(
-        f"{name}={agg['mean']:.4f}±{agg['sd']:.4f}"
-        for name, agg in sorted(report.aggregate.items())
-    )
-    print(f"evaluated {report.window_count} windows: {summary}")
+    print(f"evaluated {report.window_count} windows: {_summary(report.aggregate)}")
     print(f"report written to {args.out}")
     return 0
 
@@ -264,25 +275,32 @@ def cmd_hist(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    """simulate once, then train+sample+evaluate per seed; aggregate report."""
+    """simulate once, then train+sample+evaluate per seed; aggregate report.
+    Every stage's seed derives from --seed or the top-level seed."""
     import os
 
     config = _load_config(args.config)
+    own_seeds = [f"{name}.seed" for name in _SECTIONS if "seed" in config[name]]
+    if own_seeds:
+        raise ValidationError(
+            f"pipeline derives every stage's seed from --seed or the top-level "
+            f"seed; remove {', '.join(own_seeds)}")
     seed = args.seed if args.seed is not None else config["seed"]
     k = int(args.seeds)
     if k < 1:
         raise ValidationError(f"--seeds must be >= 1, got {k}")
+    sim = SimulateConfig.from_dict(
+        {"num_seqs": 200, **_section(config, "simulate", args, *_SECTIONS["simulate"])})
     os.makedirs(args.workdir, exist_ok=True)
-    sim = _simulate_settings(config, args, num_seqs=200, eval_seqs=50)
-    n, n_eval, kind = sim["num_seqs"], sim["eval_seqs"], sim["kind"]
 
     train_path = os.path.join(args.workdir, "train.jsonl")
     eval_path = os.path.join(args.workdir, "eval.jsonl")
-    train_seqs, vocab = _simulate_sequences(sim, seed, n, stream=2)
-    eval_seqs, _ = _simulate_sequences(sim, seed, n_eval, stream=5)
+    train_seqs, vocab = _simulate_sequences(sim, seed, sim.num_seqs, stream=2)
+    eval_seqs, _ = _simulate_sequences(sim, seed, sim.eval_seqs, stream=5)
     save_jsonl(train_path, train_seqs, vocab, seed=seed)
     save_jsonl(eval_path, eval_seqs, vocab, seed=seed)
-    print(f"pipeline data: {n} train / {n_eval} eval {kind} sequences in {args.workdir}")
+    print(f"pipeline data: {sim.num_seqs} train / {sim.eval_seqs} eval {sim.kind} "
+          f"sequences in {args.workdir}")
 
     per_seed = []
     for i in range(k):
@@ -300,27 +318,18 @@ def cmd_pipeline(args) -> int:
         with open(rep, encoding="utf-8") as fh:
             per_seed.append(json.load(fh)["aggregate"])
 
-    aggregate = {}
-    for name in ("otd", "rmse_x", "rmse_y", "smape"):
-        means = [p[name]["mean"] for p in per_seed]
-        aggregate[name] = {
-            "mean": float(np.mean(means)),
-            "sd": float(np.std(means)),
-        }
+    overall = aggregate({name: [p[name]["mean"] for p in per_seed]
+                         for name in per_seed[0]})
     doc = {
         "version": REPORT_VERSION,
         "seed": seed,
         "seeds": k,
         "per_seed": per_seed,
-        "aggregate": aggregate,
+        "aggregate": overall,
     }
     out = os.path.join(args.workdir, "report.json")
     _write_report(out, doc)
-    summary = "  ".join(
-        f"{name}={agg['mean']:.4f}±{agg['sd']:.4f}"
-        for name, agg in sorted(aggregate.items())
-    )
-    print(f"pipeline aggregate over {k} seed(s): {summary}")
+    print(f"pipeline aggregate over {k} seed(s): {_summary(overall)}")
     print(f"aggregate report written to {out}")
     return 0
 

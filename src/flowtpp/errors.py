@@ -75,5 +75,8 @@ class Config:
                 raise ValidationError(f"{cls.section}.{f.name} is required")
         return cls(**data)
 
+    def validate(self):
+        """Checks across fields, beyond each field's type; none by default."""
+
     def to_dict(self) -> dict:
         return asdict(self)

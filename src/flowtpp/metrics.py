@@ -34,13 +34,27 @@ class OtdConfig(Config, section="otd"):
             )
 
 
-def otd(pred: EventSequence, truth: EventSequence,
-        cfg: OtdConfig = OtdConfig()) -> float:
-    """Minimum alignment cost between two event streams."""
+@dataclass(frozen=True)
+class EvaluateConfig(Config, section="evaluate"):
+    """Settings of `flowtpp evaluate`; seed is only recorded in the report."""
+
+    rmse_y_mode: str = "counts"
+    seed: int = 0
+
+
+def _vocab(pred: EventSequence, truth: EventSequence) -> int:
+    """The vocab_size both sequences share."""
     if pred.vocab_size != truth.vocab_size:
         raise ValidationError(
             f"vocab_size mismatch: {pred.vocab_size} vs {truth.vocab_size}"
         )
+    return pred.vocab_size
+
+
+def otd(pred: EventSequence, truth: EventSequence,
+        cfg: OtdConfig = OtdConfig()) -> float:
+    """Minimum alignment cost between two event streams."""
+    _vocab(pred, truth)
     return float(
         kernels.otd_align(
             pred.arrival_times(), pred.marks,
@@ -50,47 +64,50 @@ def otd(pred: EventSequence, truth: EventSequence,
     )
 
 
-def _paired_dts(pred: EventSequence, truth: EventSequence) -> tuple:
+def _paired(pred: EventSequence, truth: EventSequence, field: str) -> tuple:
+    """field of two non-empty sequences of equal length, position by position."""
     if len(pred) != len(truth):
         raise ValidationError(
             f"length mismatch: pred has {len(pred)} events, truth {len(truth)}"
         )
     if len(pred) == 0:
         raise ValidationError("cannot score empty sequences position-wise")
-    return pred.inter_times, truth.inter_times
+    return getattr(pred, field), getattr(truth, field)
 
 
 def rmse_x(pred: EventSequence, truth: EventSequence) -> float:
-    a, b = _paired_dts(pred, truth)
+    a, b = _paired(pred, truth, "inter_times")
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def rmse_y(pred: EventSequence, truth: EventSequence, mode: str = "counts") -> float:
+def rmse_y(pred: EventSequence, truth: EventSequence,
+           mode: str = EvaluateConfig.rmse_y_mode) -> float:
     """Mark error. "counts" compares per-type totals over the horizon;
     "position" is the square root of the label mismatch rate."""
-    if pred.vocab_size != truth.vocab_size:
-        raise ValidationError(
-            f"vocab_size mismatch: {pred.vocab_size} vs {truth.vocab_size}"
-        )
+    m = _vocab(pred, truth)
     if mode == "counts":
-        m = pred.vocab_size
         cp = np.bincount(pred.marks, minlength=m).astype(np.float64)
         ct = np.bincount(truth.marks, minlength=m).astype(np.float64)
         return float(np.sqrt(np.mean((cp - ct) ** 2)))
     if mode == "position":
-        if len(pred) != len(truth):
-            raise ValidationError(
-                f"length mismatch: pred has {len(pred)} events, truth {len(truth)}"
-            )
-        if len(pred) == 0:
-            raise ValidationError("cannot score empty sequences position-wise")
-        return float(np.sqrt(np.mean(pred.marks != truth.marks)))
+        a, b = _paired(pred, truth, "marks")
+        return float(np.sqrt(np.mean(a != b)))
     raise ValidationError(f"unknown rmse_y mode {mode!r}")
 
 
 def smape(pred: EventSequence, truth: EventSequence) -> float:
-    a, b = _paired_dts(pred, truth)
+    a, b = _paired(pred, truth, "inter_times")
     return float(100.0 * np.mean(2.0 * np.abs(a - b) / (np.abs(a) + np.abs(b))))
+
+
+def aggregate(columns: dict) -> dict:
+    """{name: {"mean", "sd"}} over each column of values, as one array
+    operation; the result depends only on the multiset of each column."""
+    table = np.array(list(columns.values()))
+    return {
+        name: {"mean": float(mean), "sd": float(sd)}
+        for name, mean, sd in zip(columns, table.mean(axis=1), table.std(axis=1))
+    }
 
 
 @dataclass
@@ -98,7 +115,6 @@ class MetricReport:
     per_window: dict
     aggregate: dict
     window_count: int
-    rmse_y_mode: str
 
     def to_dict(self) -> dict:
         return {
@@ -109,12 +125,8 @@ class MetricReport:
 
 
 def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
-                     rmse_y_mode: str = "counts") -> MetricReport:
-    """All four metrics per (pred, truth) pair plus mean and s.d. columns.
-
-    The aggregate is order-invariant: it depends only on the multiset of
-    per-window values.
-    """
+                     rmse_y_mode: str = EvaluateConfig.rmse_y_mode) -> MetricReport:
+    """All four metrics per (pred, truth) pair plus mean and s.d. columns."""
     if len(preds) != len(truths):
         raise ValidationError(
             f"window count mismatch: {len(preds)} predictions, {len(truths)} truths"
@@ -127,13 +139,8 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
         per["rmse_x"].append(rmse_x(p, t))
         per["rmse_y"].append(rmse_y(p, t, rmse_y_mode))
         per["smape"].append(smape(p, t))
-    table = np.array(list(per.values()))
-    aggregate = {
-        name: {"mean": float(mean), "sd": float(sd)}
-        for name, mean, sd in zip(per, table.mean(axis=1), table.std(axis=1))
-    }
-    return MetricReport(per_window=per, aggregate=aggregate,
-                        window_count=len(preds), rmse_y_mode=rmse_y_mode)
+    return MetricReport(per_window=per, aggregate=aggregate(per),
+                        window_count=len(preds))
 
 
 # inter-time bins of the histograms below, and the default of `flowtpp hist`

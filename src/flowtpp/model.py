@@ -38,7 +38,7 @@ def sinusoidal_features(t, dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ModelConfig(Config, section="model"):
     vocab_size: int
-    horizon: int
+    horizon: int = 20
     d: int = 64
     mark_embed_dim: int = 16
     time_embed_dim: int = 16
@@ -245,14 +245,14 @@ class Model:
                 steps.append((zr, rh, cand, h_new))
         out = np.empty_like(h)
         out[order] = h
-        return out, (order, marks, logdts, feats, live, steps) if keep else None
+        return out, ((order, marks, logdts, feats, live, steps, u_zr, w_in)
+                     if keep else None)
 
     def _gru_backward(self, grad, saved) -> dict:
         """Encoder parameter gradients from dL/dh_c (B, d), by path."""
-        order, marks, logdts, feats, live, steps = saved
-        p, d = self.store, self.config.d
-        u_zr = np.concatenate([p["enc.Uz"].data, p["enc.Ur"].data], axis=1)
-        u_h = p["enc.Uh"].data
+        order, marks, logdts, feats, live, steps, u_zr, w_in = saved
+        d = self.config.d
+        u_h = self.store["enc.Uh"].data
         # the live (step, row) cells, step by step: step k owns rows
         # cells[k]:cells[k + 1] of the gate gradients and the saved states
         cells = np.concatenate([[0], np.cumsum(live)])
@@ -275,7 +275,6 @@ class Model:
         du_zr = h_prev.T @ dgates[:, : 2 * d]
         is_live = np.arange(len(order)) < live[:, None]
         marks, logdts, feats = marks[is_live], logdts[is_live], feats[is_live]
-        w_in = np.concatenate([p[f"enc.W{g}"].data for g in "zrh"], axis=1)
         dw_in = feats.T @ dgates
         db_in = dgates.sum(axis=0)
         dfeats = dgates @ w_in.T

@@ -10,7 +10,7 @@ NumericalError instead of propagating silently.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,13 +35,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
                  "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(),
-                 backward: Optional[Callable[[], None]] = None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        self._backward = None
 
     @property
     def shape(self):
@@ -301,9 +300,6 @@ class ParamStore:
             return self.params[path]
         except KeyError:
             raise ValidationError(f"unknown parameter path {path!r}") from None
-
-    def __contains__(self, path: str) -> bool:
-        return path in self.params
 
     def zero_grads(self):
         for t in self.params.values():

@@ -55,7 +55,7 @@ def _check_finite(values: np.ndarray, t: float, what: str):
 
 
 def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
-               eps_prob: float = 1e-5) -> np.ndarray:
+               eps_prob: float) -> np.ndarray:
     """Clamped simplex-velocity update; returns the normalized redraw
     distribution per row.
 

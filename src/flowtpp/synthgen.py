@@ -99,7 +99,7 @@ def simulate_hawkes(spec: HawkesSpec, length: int, seed) -> EventSequence:
     if length < 1:
         raise ValidationError(f"length must be positive, got {length}")
     rng = np.random.default_rng(seed)
-    uniforms = rng.random(max(256, 8 * length))
+    uniforms = rng.random(max(256, 4 * length))
     dts = np.empty(length, dtype=np.float64)
     marks = np.empty(length, dtype=np.int64)
     while True:

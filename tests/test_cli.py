@@ -209,6 +209,8 @@ class TestMalformedConfig:
          "evaluate.rmse_y_mode must be a string"),
         ("evaluate", {"evaluate": []}, "section 'evaluate' must be an object"),
         ("train", {"model": {"vocab_size": 5}}, "vocab_size mismatch"),
+        ("simulate", {"simulate": {"vocab_size": 5, "mark_probs": [0.5, 0.5]}},
+         "simulate.mark_probs has 2 entries, simulate.vocab_size is 5"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -523,6 +525,27 @@ class TestPipeline:
     def test_bad_seed_count(self, tmp_path):
         assert main(["pipeline", "--workdir", str(tmp_path / "w"),
                      "--seeds", "0"]) == 1
+
+    @pytest.mark.parametrize("flags,config,named", [
+        (["--eval-seqs", "0"], {}, "simulate.eval_seqs must be >= 1"),
+        (["--num-seqs", "0"], {}, "simulate.num_seqs must be >= 1"),
+        ([], {"train": {"seed": 5}}, "remove train.seed"),
+        ([], {"simulate": {"seed": 9}}, "remove simulate.seed"),
+    ], ids=["eval-seqs-0", "num-seqs-0", "train-seed", "simulate-seed"])
+    def test_exits_1_before_writing(self, tmp_path, flags, config, named):
+        # sizes below 1, and a section seed that the stage seeds would
+        # silently override, are errors before anything is written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": SMALL_MODEL, **config}))
+        wd = tmp_path / "run"
+        proc = run_cli(["pipeline", "--workdir", str(wd), "--config", str(cfg),
+                        "--num-seqs", "4", "--eval-seqs", "2", "--length", "8",
+                        "--horizon", "4", "--epochs", "1", "--steps", "1",
+                        *flags])
+        assert proc.returncode == 1, proc.stderr
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not wd.exists()
 
 
 class TestReadmeConfig:

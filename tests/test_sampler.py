@@ -215,7 +215,8 @@ class TestStepTime:
 class TestMarkProbs:
     def test_flat_logits_full_step_hand_trace(self):
         # p_t = [0.5, 0.5], u = ([0.5, 0.5] - [1, 0]) / 1, one full step lands on p_t
-        p = mark_probs(np.zeros((1, 2)), np.array([0]), 0.0, 1.0)
+        p = mark_probs(np.zeros((1, 2)), np.array([0]), 0.0, 1.0,
+                       SamplerConfig.eps_prob)
         np.testing.assert_array_equal(p, [[0.5, 0.5]])
 
     def test_peaked_logits_hold_mass(self):
@@ -230,20 +231,21 @@ class TestMarkProbs:
         logits = rng.normal(0, 1, size=(6, 4))
         target = softmax(logits, axis=1)
         assert np.all(target > 1e-5)
-        p = mark_probs(logits, rng.integers(0, 4, 6), 0.875, 0.125)
+        p = mark_probs(logits, rng.integers(0, 4, 6), 0.875, 0.125,
+                       SamplerConfig.eps_prob)
         np.testing.assert_allclose(p, target, rtol=0, atol=1e-12)
 
     def test_singularity_guard(self):
         logits = np.array([[1.0, -1.0, 0.5]])
         for t in (1.0, 1.0 - 1e-12):
-            p = mark_probs(logits, np.array([1]), t, 0.125)
+            p = mark_probs(logits, np.array([1]), t, 0.125, SamplerConfig.eps_prob)
             assert np.isfinite(p).all()
             np.testing.assert_allclose(p, softmax(logits, axis=1), atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
         logits = rng.normal(0, 5, size=(40, 5))
         y = rng.integers(0, 5, 40)
-        p = mark_probs(logits, y, 0.25, 0.125)
+        p = mark_probs(logits, y, 0.25, 0.125, SamplerConfig.eps_prob)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(40), atol=1e-14)
         assert np.all(p > 0)
 
