@@ -45,10 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text: str) -> list:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}")
+    # argparse turns the ValueError of a bad item into a usage error
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 @dataclass(frozen=True)
@@ -69,23 +67,25 @@ class SimulateConfig(Config, section="simulate"):
     excite: tuple[float, ...] = (0.3, 0.1, 0.1, 0.3)
     decay: float = 1.0
 
+    @property
+    def types(self) -> int:
+        """M, the number of mark types: vocab_size for Poisson data, one per
+        base rate for Hawkes data."""
+        return self.vocab_size if self.kind == "poisson" else len(self.base_rates)
+
     def validate(self):
         for key in ("num_seqs", "eval_seqs", "length"):
-            if getattr(self, key) < 1:
-                raise ValidationError(
-                    f"simulate.{key} must be >= 1, got {getattr(self, key)}")
-        if self.kind not in ("poisson", "hawkes"):
-            raise ValidationError(f"unknown process kind {self.kind!r}")
-        if (self.kind == "poisson" and self.mark_probs
-                and len(self.mark_probs) != self.vocab_size):
+            self.require(getattr(self, key) >= 1, key, ">= 1")
+        self.require(self.kind in ("poisson", "hawkes"), "kind",
+                     "'poisson' or 'hawkes'")
+        m = self.types
+        if self.kind == "poisson" and self.mark_probs and len(self.mark_probs) != m:
             raise ValidationError(
                 f"simulate.mark_probs has {len(self.mark_probs)} entries, "
-                f"simulate.vocab_size is {self.vocab_size}")
-        m = len(self.base_rates)
-        if self.kind == "hawkes" and len(self.excite) != m * m:
-            raise ValidationError(
-                f"excite needs {m * m} entries (row-major {m}x{m}), "
-                f"got {len(self.excite)}")
+                f"simulate.vocab_size is {m}")
+        if self.kind == "hawkes":
+            self.require(len(self.excite) == m * m, "excite",
+                         f"{m * m} numbers (row-major {m}x{m} for {m} base_rates)")
 
 
 # keys and value types of each config-file section, one Config class each; a
@@ -93,6 +93,24 @@ class SimulateConfig(Config, section="simulate"):
 _SECTIONS = {cls.section: cls.field_types for cls in (
     SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
     EvaluateConfig)}
+
+_SIMULATE_FLAGS = ("kind", "num_seqs", "length", "rate", "vocab_size",
+                   "mark_probs", "base_rates", "excite", "decay")
+_TRAIN_FLAGS = {"train": ("epochs", "batch_size", "lr"), "model": ("horizon",)}
+_EVALUATE_FLAGS = {"otd": ("delete_cost",), "evaluate": ("rmse_y_mode",)}
+
+# the config keys each command takes as flags, {command: {section: keys}};
+# key becomes --key with dashes, typed by its Config field, and sets that
+# key. --seed, on every command, sets the seed of each section that has one
+_FLAGS = {
+    "simulate": {"simulate": _SIMULATE_FLAGS},
+    "train": _TRAIN_FLAGS,
+    "sample": {"sampler": ("steps",)},
+    "evaluate": _EVALUATE_FLAGS,
+    "hist": {},
+    "pipeline": {"simulate": ("eval_seqs", *_SIMULATE_FLAGS), **_TRAIN_FLAGS,
+                 "sampler": ("steps",), **_EVALUATE_FLAGS},
+}
 
 
 def _load_config(path) -> dict:
@@ -119,12 +137,13 @@ def _load_config(path) -> dict:
     return config
 
 
-def _section(config: dict, name: str, args, *flags) -> dict:
-    """Precedence: explicit flag > config file section (same key names) >
-    the top-level seed, for a section with a seed."""
+def _section(config: dict, name: str, args) -> dict:
+    """Precedence: explicit flag (_FLAGS of args.command, and --seed) >
+    config file section > the top-level seed, for a section with a seed."""
     seed = {"seed": config["seed"]} if "seed" in _SECTIONS[name] else {}
+    flags = (*seed, *_FLAGS[args.command].get(name, ()))
     return {**seed, **config[name], **{key: getattr(args, key) for key in flags
-                                       if getattr(args, key, None) is not None}}
+                                       if getattr(args, key) is not None}}
 
 
 def _windows(path, horizon: int, vocab_size=None) -> list:
@@ -150,29 +169,23 @@ def _write_report(path, doc: dict):
 
 
 def _simulate_sequences(sim: SimulateConfig, seed: int, n: int, stream: int = 2):
+    m = sim.types
     if sim.kind == "poisson":
-        m = sim.vocab_size
         probs = np.asarray(sim.mark_probs or np.full(m, 1.0 / m))
-        seqs = [
-            simulate_poisson(sim.rate, probs, sim.length, seed=[seed, stream, i])
-            for i in range(n)
-        ]
-        return seqs, m
-    m = len(sim.base_rates)
+        return [simulate_poisson(sim.rate, probs, sim.length, seed=[seed, stream, i])
+                for i in range(n)]
     spec = HawkesSpec(np.asarray(sim.base_rates),
                       np.asarray(sim.excite).reshape(m, m), sim.decay)
-    seqs = [
-        simulate_hawkes(spec, sim.length, seed=[seed, stream, i]) for i in range(n)
-    ]
-    return seqs, m
+    return [simulate_hawkes(spec, sim.length, seed=[seed, stream, i])
+            for i in range(n)]
 
 
 def cmd_simulate(args) -> int:
     sim = SimulateConfig.from_dict(
-        _section(_load_config(args.config), "simulate", args, *_SECTIONS["simulate"]))
-    seqs, vocab = _simulate_sequences(sim, sim.seed, sim.num_seqs)
-    save_jsonl(args.out, seqs, vocab, seed=sim.seed)
-    print(f"wrote {sim.num_seqs} {sim.kind} sequences (M={vocab}, "
+        _section(_load_config(args.config), "simulate", args))
+    seqs = _simulate_sequences(sim, sim.seed, sim.num_seqs)
+    save_jsonl(args.out, seqs, sim.types, seed=sim.seed)
+    print(f"wrote {sim.num_seqs} {sim.kind} sequences (M={sim.types}, "
           f"length={sim.length}) to {args.out}")
     return 0
 
@@ -193,9 +206,8 @@ def _write_trace(path, trace, seed: int):
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    train_cfg = TrainConfig.from_dict(
-        _section(config, "train", args, "epochs", "batch_size", "lr", "seed"))
-    settings = _section(config, "model", args, "horizon")
+    train_cfg = TrainConfig.from_dict(_section(config, "train", args))
+    settings = _section(config, "model", args)
     windows = _windows(args.data, settings.get("horizon", ModelConfig.horizon),
                        settings.get("vocab_size"))
     model_cfg = ModelConfig.from_dict(
@@ -217,11 +229,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
+    scfg = SamplerConfig.from_dict(_section(_load_config(args.config), "sampler", args))
     model = Model.from_checkpoint(args.checkpoint)
     horizon = args.horizon if args.horizon is not None else model.config.horizon
     windows = _windows(args.data, horizon, model.config.vocab_size)
-    scfg = SamplerConfig.from_dict(_section(config, "sampler", args, "steps", "seed"))
     samples = generate(model, windows, scfg)
     preds = predictions_to_sequences(samples, model.config.vocab_size)
     save_jsonl(args.out, preds, model.config.vocab_size, seed=scfg.seed)
@@ -237,9 +248,8 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    otd_cfg = OtdConfig.from_dict(_section(config, "otd", args, "delete_cost"))
-    eval_cfg = EvaluateConfig.from_dict(
-        _section(config, "evaluate", args, "rmse_y_mode", "seed"))
+    otd_cfg = OtdConfig.from_dict(_section(config, "otd", args))
+    eval_cfg = EvaluateConfig.from_dict(_section(config, "evaluate", args))
     report = evaluate_windows(load_jsonl(args.pred), load_jsonl(args.truth),
                               otd_cfg, eval_cfg.rmse_y_mode)
     doc = {
@@ -290,15 +300,29 @@ def cmd_pipeline(args) -> int:
     if k < 1:
         raise ValidationError(f"--seeds must be >= 1, got {k}")
     sim = SimulateConfig.from_dict(
-        {"num_seqs": 200, **_section(config, "simulate", args, *_SECTIONS["simulate"])})
+        {"num_seqs": 200, **_section(config, "simulate", args)})
+    # the stages build the other sections again; building them here first
+    # rejects a bad value before any file is written
+    model_cfg = ModelConfig.from_dict(
+        {"vocab_size": sim.types, **_section(config, "model", args)})
+    for cls in (TrainConfig, SamplerConfig, OtdConfig, EvaluateConfig):
+        cls.from_dict(_section(config, cls.section, args))
+    if model_cfg.horizon >= sim.length:
+        raise ValidationError(
+            f"model.horizon must be < simulate.length, got {model_cfg.horizon} "
+            f"and {sim.length}: no sequence would be longer than the horizon")
+    if model_cfg.vocab_size != sim.types:
+        raise ValidationError(
+            f"model.vocab_size must be {sim.types}, the simulated data's number "
+            f"of mark types, got {model_cfg.vocab_size}")
     os.makedirs(args.workdir, exist_ok=True)
 
     train_path = os.path.join(args.workdir, "train.jsonl")
     eval_path = os.path.join(args.workdir, "eval.jsonl")
-    train_seqs, vocab = _simulate_sequences(sim, seed, sim.num_seqs, stream=2)
-    eval_seqs, _ = _simulate_sequences(sim, seed, sim.eval_seqs, stream=5)
-    save_jsonl(train_path, train_seqs, vocab, seed=seed)
-    save_jsonl(eval_path, eval_seqs, vocab, seed=seed)
+    save_jsonl(train_path, _simulate_sequences(sim, seed, sim.num_seqs, stream=2),
+               sim.types, seed=seed)
+    save_jsonl(eval_path, _simulate_sequences(sim, seed, sim.eval_seqs, stream=5),
+               sim.types, seed=seed)
     print(f"pipeline data: {sim.num_seqs} train / {sim.eval_seqs} eval {sim.kind} "
           f"sequences in {args.workdir}")
 
@@ -337,29 +361,15 @@ def cmd_pipeline(args) -> int:
 # ---- wiring ------------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _add_common(sub, command: str):
+    """--config, --seed and the config flags of command (_FLAGS)."""
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--seed", type=int, help="master seed (default 0)")
-
-
-def _add_simulate_params(sub):
-    sub.add_argument("--kind", choices=["poisson", "hawkes"])
-    sub.add_argument("--num-seqs", type=int, help="training sequences to draw")
-    sub.add_argument("--length", type=int, help="events per sequence")
-    sub.add_argument("--rate", type=float, help="poisson: event rate")
-    sub.add_argument("--vocab-size", type=int, help="poisson: number of mark types")
-    sub.add_argument("--mark-probs", type=_floats, help="poisson: mark simplex")
-    sub.add_argument("--base-rates", type=_floats, help="hawkes: per-type base rates")
-    sub.add_argument("--excite", type=_floats,
-                     help="hawkes: row-major excitation matrix")
-    sub.add_argument("--decay", type=float, help="hawkes: exponential kernel decay")
-
-
-def _add_train_params(sub):
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--horizon", type=int, help="forecast length L")
+    for section, keys in _FLAGS[command].items():
+        for key in keys:
+            kind = _SECTIONS[section][key]
+            sub.add_argument(f"--{key.replace('_', '-')}", help=f"{section}.{key}",
+                             type=kind if kind in (int, float, str) else _floats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,19 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
                      description="flow-matching forecaster for marked event streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="write a synthetic dataset",
-                       parents=[], conflict_handler="resolve")
-    _add_simulate_params(p)
+    p = sub.add_parser("simulate", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "simulate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="fit a model on a JSONL dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--trace", help="loss trace CSV (default <out>.trace.csv)")
-    _add_train_params(p)
-    _add_common(p)
+    _add_common(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate forecasts for held-out windows")
@@ -387,18 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="truth JSONL to take contexts from")
     p.add_argument("--out", required=True, help="predictions JSONL")
     p.add_argument("--truth-out", help="also write the aligned truth targets")
-    p.add_argument("--steps", type=int, help="flow steps S")
-    p.add_argument("--horizon", type=int, help="forecast length L")
-    _add_common(p)
+    p.add_argument("--horizon", type=int,
+                   help="forecast length L (default: the checkpoint's model.horizon)")
+    _add_common(p, "sample")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("evaluate", help="score predictions against truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--delete-cost", type=float)
-    p.add_argument("--rmse-y-mode", choices=["counts", "position"])
-    _add_common(p)
+    _add_common(p, "evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("hist", help="histogram CSVs for a dataset")
@@ -406,20 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-times")
     p.add_argument("--out-marks")
     p.add_argument("--bins", type=int, default=HIST_BINS)
-    _add_common(p)
+    _add_common(p, "hist")
     p.set_defaults(func=cmd_hist)
 
     p = sub.add_parser("pipeline",
                        help="simulate, then train+sample+evaluate per seed")
     p.add_argument("--workdir", required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of repeat runs")
-    p.add_argument("--eval-seqs", type=int, help="held-out sequences")
-    _add_simulate_params(p)
-    _add_train_params(p)
-    p.add_argument("--steps", type=int, help="flow steps S")
-    p.add_argument("--delete-cost", type=float)
-    p.add_argument("--rmse-y-mode", choices=["counts", "position"])
-    _add_common(p)
+    _add_common(p, "pipeline")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -78,5 +78,11 @@ class Config:
     def validate(self):
         """Checks across fields, beyond each field's type; none by default."""
 
+    def require(self, ok: bool, key: str, rule: str):
+        """Unless ok, ValidationError "section.key must be rule, got value"."""
+        if not ok:
+            raise ValidationError(
+                f"{self.section}.{key} must be {rule}, got {getattr(self, key)!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)

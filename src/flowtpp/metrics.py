@@ -28,10 +28,10 @@ class OtdConfig(Config, section="otd"):
     delete_cost: float = 1.0
 
     def validate(self):
-        if not self.delete_cost > 0:
-            raise ValidationError(
-                f"delete_cost must be positive, got {self.delete_cost}"
-            )
+        self.require(self.delete_cost > 0, "delete_cost", "> 0")
+
+
+RMSE_Y_MODES = ("counts", "position")
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,10 @@ class EvaluateConfig(Config, section="evaluate"):
 
     rmse_y_mode: str = "counts"
     seed: int = 0
+
+    def validate(self):
+        self.require(self.rmse_y_mode in RMSE_Y_MODES, "rmse_y_mode",
+                     f"one of {RMSE_Y_MODES}")
 
 
 def _vocab(pred: EventSequence, truth: EventSequence) -> int:
@@ -92,7 +96,7 @@ def rmse_y(pred: EventSequence, truth: EventSequence,
     if mode == "position":
         a, b = _paired(pred, truth, "marks")
         return float(np.sqrt(np.mean(a != b)))
-    raise ValidationError(f"unknown rmse_y mode {mode!r}")
+    raise ValidationError(f"rmse_y mode must be one of {RMSE_Y_MODES}, got {mode!r}")
 
 
 def smape(pred: EventSequence, truth: EventSequence) -> float:

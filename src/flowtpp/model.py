@@ -52,23 +52,21 @@ class ModelConfig(Config, section="model"):
     lambda_min: float = 1e-6
 
     def validate(self):
-        dims = (self.vocab_size, self.horizon, self.d, self.mark_embed_dim,
-                self.time_embed_dim, self.t_embed_dim, *self.vf_hidden,
-                *self.head_hidden)
-        if any(v < 1 for v in dims):
-            raise ValidationError(f"all dims must be >= 1, got {dims}")
-        if self.t_embed_dim % 2 != 0:
-            raise ValidationError("t_embed_dim must be even (sin/cos pairs)")
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
-        if self.rate_mode not in ("context", "manual"):
-            raise ValidationError(f"unknown rate_mode {self.rate_mode!r}")
-        if self.pi0_mode not in ("uniform", "context"):
-            raise ValidationError(f"unknown pi0_mode {self.pi0_mode!r}")
-        if self.rate_mode == "manual" and not self.manual_rate > 0:
-            raise ValidationError("manual_rate must be positive")
-        if not self.lambda_min > 0:
-            raise ValidationError("lambda_min must be positive")
+        for key in ("vocab_size", "horizon", "d", "mark_embed_dim",
+                    "time_embed_dim", "t_embed_dim"):
+            self.require(getattr(self, key) >= 1, key, ">= 1")
+        for key in ("vf_hidden", "head_hidden"):
+            self.require(all(v >= 1 for v in getattr(self, key)), key,
+                         "all >= 1")
+        self.require(self.t_embed_dim % 2 == 0, "t_embed_dim", "even (sin/cos pairs)")
+        self.require(self.alpha >= 0, "alpha", ">= 0")
+        self.require(self.rate_mode in ("context", "manual"), "rate_mode",
+                     "'context' or 'manual'")
+        self.require(self.pi0_mode in ("uniform", "context"), "pi0_mode",
+                     "'uniform' or 'context'")
+        self.require(self.rate_mode != "manual" or self.manual_rate > 0,
+                     "manual_rate", "> 0 when rate_mode is 'manual'")
+        self.require(self.lambda_min > 0, "lambda_min", "> 0")
 
     @property
     def input_dim(self) -> int:
@@ -445,22 +443,19 @@ class Model:
 
     # ---- loss --------------------------------------------------------------
 
-    def loss_total(self, batch: FlowSample, h_c: nn.Tensor, alpha=None) -> tuple:
+    def loss_total(self, batch: FlowSample, h_c: nn.Tensor) -> tuple:
         """Joint objective; returns (total Tensor, loss_time, loss_mark floats).
 
-        total = mean squared error of the field against x1 - x0, plus alpha
-        times the mean cross-entropy of the logits against the clean marks.
-        It is one tape node whose parents are h_c and the vf/head
+        total = mean squared error of the field against x1 - x0, plus
+        config.alpha times the mean cross-entropy of the logits against the
+        clean marks. It is one tape node whose parents are h_c and the vf/head
         parameters. The forward is predict's, with the context term
         h_c·W_h + b computed once per window; the backward reuses its tanh
         activations.
         """
         if len(batch) == 0:
             raise ValidationError("empty flow batch")
-        alpha = self.config.alpha if alpha is None else alpha
-        if alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {alpha}")
-        n = len(batch)
+        n, alpha = len(batch), self.config.alpha
         acts = []
         v, logits = self._run_nets(batch.x_t, batch.y_t, batch.t,
                                    self._project(h_c.data)[batch.window_idx],
@@ -549,12 +544,9 @@ class TrainConfig(Config, section="train"):
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        self.require(self.epochs >= 0, "epochs", ">= 0")
+        self.require(self.batch_size >= 1, "batch_size", ">= 1")
+        self.require(self.lr > 0, "lr", "> 0")
 
 
 def train(model: Model, windows, cfg: TrainConfig) -> list:

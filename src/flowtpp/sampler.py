@@ -37,12 +37,10 @@ class SamplerConfig(Config, section="sampler"):
     chunk_size: int = 256
 
     def validate(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if not (self.eps_time > 0 and self.eps_prob > 0):
-            raise ValidationError("eps_time and eps_prob must be positive")
-        if self.chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
+        self.require(self.steps >= 1, "steps", ">= 1")
+        self.require(self.eps_time > 0, "eps_time", "> 0")
+        self.require(self.eps_prob > 0, "eps_prob", "> 0")
+        self.require(self.chunk_size >= 1, "chunk_size", ">= 1")
 
     @property
     def h(self) -> float:

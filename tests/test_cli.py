@@ -211,6 +211,13 @@ class TestMalformedConfig:
         ("train", {"model": {"vocab_size": 5}}, "vocab_size mismatch"),
         ("simulate", {"simulate": {"vocab_size": 5, "mark_probs": [0.5, 0.5]}},
          "simulate.mark_probs has 2 entries, simulate.vocab_size is 5"),
+        # a rule of a section fails before any input file is opened
+        ("evaluate-missing-pred", {"evaluate": {"rmse_y_mode": "bogus"}},
+         "evaluate.rmse_y_mode must be one of"),
+        ("sample-missing-checkpoint", {"sampler": {"steps": 0}},
+         "sampler.steps must be >= 1"),
+        # a flag value is checked by its section's rules, as a file value is
+        ("simulate-kind-flag", {}, "simulate.kind must be"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -228,6 +235,12 @@ class TestMalformedConfig:
                        "--out", str(out)],
             "evaluate": ["evaluate", "--pred", pred, "--truth", truth,
                          "--out", str(out)],
+            "evaluate-missing-pred": ["evaluate", "--pred", str(tmp_path / "none"),
+                                      "--truth", truth, "--out", str(out)],
+            "sample-missing-checkpoint": ["sample", "--checkpoint",
+                                          str(tmp_path / "none"), "--data",
+                                          data_path, "--out", str(out)],
+            "simulate-kind-flag": ["simulate", "--kind", "bogus", "--out", str(out)],
         }[command]
         proc = run_cli([*argv, "--config", str(cfg)])
         assert proc.returncode == 1, proc.stderr
@@ -531,17 +544,29 @@ class TestPipeline:
         (["--num-seqs", "0"], {}, "simulate.num_seqs must be >= 1"),
         ([], {"train": {"seed": 5}}, "remove train.seed"),
         ([], {"simulate": {"seed": 9}}, "remove simulate.seed"),
-    ], ids=["eval-seqs-0", "num-seqs-0", "train-seed", "simulate-seed"])
+        ([], {"train": {"lr": 0}}, "train.lr must be > 0"),
+        ([], {"sampler": {"steps": 0}}, "sampler.steps must be >= 1"),
+        ([], {"otd": {"delete_cost": 0}}, "otd.delete_cost must be > 0"),
+        ([], {"evaluate": {"rmse_y_mode": "bogus"}},
+         "evaluate.rmse_y_mode must be one of"),
+        (["--length", "8", "--horizon", "8"], {},
+         "model.horizon must be < simulate.length"),
+        ([], {"model": {**SMALL_MODEL, "vocab_size": 5}},
+         "model.vocab_size must be 3"),
+    ], ids=["eval-seqs-0", "num-seqs-0", "train-seed", "simulate-seed", "train-lr",
+            "sampler-steps", "otd-delete-cost", "rmse-y-mode", "horizon-length",
+            "vocab-size"])
     def test_exits_1_before_writing(self, tmp_path, flags, config, named):
-        # sizes below 1, and a section seed that the stage seeds would
-        # silently override, are errors before anything is written
+        # a bad value in any stage's section, a horizon no sequence exceeds,
+        # and a section seed that the stage seeds would silently override
+        # are errors before anything is written
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"model": SMALL_MODEL, **config}))
+        cfg.write_text(json.dumps(
+            {"model": SMALL_MODEL, "sampler": {"steps": 1}, **config}))
         wd = tmp_path / "run"
         proc = run_cli(["pipeline", "--workdir", str(wd), "--config", str(cfg),
                         "--num-seqs", "4", "--eval-seqs", "2", "--length", "8",
-                        "--horizon", "4", "--epochs", "1", "--steps", "1",
-                        *flags])
+                        "--horizon", "4", "--epochs", "1", *flags])
         assert proc.returncode == 1, proc.stderr
         assert named in proc.stderr
         assert "Traceback" not in proc.stderr

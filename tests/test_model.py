@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 
@@ -437,12 +438,12 @@ class TestTrainingNodeParity:
     def test_loss_and_gradients_match_tape(self, seed, hidden, alpha):
         rng = np.random.default_rng([seed, 5])
         model = jittered_model(tiny_config(vf_hidden=hidden[0],
-                                           head_hidden=hidden[1]), seed)
+                                           head_hidden=hidden[1], alpha=alpha), seed)
         windows = ragged_windows(rng, 6)
         ctxs = [w.context for w in windows]
         batch = permuted(frozen_batch(model, windows, seed), rng)
         got, g_got = param_grads(
-            model, lambda: model.loss_total(batch, model.encode_contexts(ctxs), alpha))
+            model, lambda: model.loss_total(batch, model.encode_contexts(ctxs)))
         want, g_want = param_grads(
             model, lambda: tape_loss_total(model, batch,
                                            tape_encode_contexts(model, ctxs), alpha))
@@ -459,14 +460,14 @@ class TestTrainingNodeParity:
     def test_context_gradient_matches_tape(self, hidden, alpha):
         rng = np.random.default_rng(6)
         model = jittered_model(tiny_config(vf_hidden=hidden[0],
-                                           head_hidden=hidden[1]), 6)
+                                           head_hidden=hidden[1], alpha=alpha), 6)
         windows = ragged_windows(rng, 5)
         batch = permuted(frozen_batch(model, windows), rng)
         h_data = rng.normal(0.0, 1.0, (5, 8))
         grads = []
-        for loss in (model.loss_total, lambda *a: tape_loss_total(model, *a)):
+        for loss in (model.loss_total, lambda *a: tape_loss_total(model, *a, alpha)):
             h_c = nn.Tensor(h_data, requires_grad=True)
-            nn.backward(loss(batch, h_c, alpha)[0])
+            nn.backward(loss(batch, h_c)[0])
             grads.append(h_c.grad)
         np.testing.assert_allclose(grads[0], grads[1], rtol=PARITY_TOL,
                                    atol=PARITY_TOL)
@@ -549,14 +550,19 @@ class TestLosses:
         h_c = model.encode_contexts([w.context])
         assert model.loss_total(batch, h_c)[2] < 1e-8
 
+    def loss_at(self, alpha, batch, h_c):
+        """loss_total with the model's config.alpha set to alpha."""
+        self.model.config = dataclasses.replace(self.model.config, alpha=alpha)
+        return self.model.loss_total(batch, h_c)
+
     def test_total_is_time_plus_alpha_mark(self):
         batch = frozen_batch(self.model, self.windows)
         h_c = self.model.encode_contexts([w.context for w in self.windows])
-        total, lt, lm = self.model.loss_total(batch, h_c, alpha=1.0)
+        total, lt, lm = self.loss_at(1.0, batch, h_c)
         assert abs(float(total.data) - (lt + lm)) < 1e-12
-        total0, lt0, _ = self.model.loss_total(batch, h_c, alpha=0.0)
+        total0, lt0, _ = self.loss_at(0.0, batch, h_c)
         assert float(total0.data) == lt0
-        total7, lt7, lm7 = self.model.loss_total(batch, h_c, alpha=0.7)
+        total7, lt7, lm7 = self.loss_at(0.7, batch, h_c)
         assert abs(float(total7.data) - (lt7 + 0.7 * lm7)) < 1e-12
 
     def test_gradient_linearity_in_alpha(self):
@@ -571,9 +577,9 @@ class TestLosses:
                     for p, t in self.model.store.params.items()}
 
         # alpha = 0 is the time loss alone; alpha = 1 adds the mark loss once
-        g_time = grads_of(self.model.loss_total(batch, h_fn(), alpha=0.0)[0])
-        g_both = grads_of(self.model.loss_total(batch, h_fn(), alpha=1.0)[0])
-        g_tot = grads_of(self.model.loss_total(batch, h_fn(), alpha=0.7)[0])
+        g_time = grads_of(self.loss_at(0.0, batch, h_fn())[0])
+        g_both = grads_of(self.loss_at(1.0, batch, h_fn())[0])
+        g_tot = grads_of(self.loss_at(0.7, batch, h_fn())[0])
         for path in g_tot:
             g_mark = g_both[path] - g_time[path]
             np.testing.assert_allclose(

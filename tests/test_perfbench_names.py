@@ -1,26 +1,31 @@
-"""The benchmark under perfbench/ wraps and imports package names by lookup;
-a rename in src/ would break it without failing any other test. The list
-of wrapped names is read from the tracer itself, so it stays current when
-the benchmark drops or adds spans."""
+"""The benchmark under perfbench/ wraps and imports package names by lookup,
+and runs the CLI with its own argv; a rename in src/ or a dropped flag would
+break it without failing any other test. The list of wrapped names is read
+from the tracer itself and the argv from the workloads, so both stay current
+when the benchmark changes."""
 
 import importlib.util
 import os
+import sys
 
-from flowtpp import accel, sampler
+import pytest
+
+from flowtpp import accel, cli, sampler
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
-def load_tracer():
+def load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py"))
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_name_is_defined_on_its_owner():
-    targets = load_tracer().Tracer()._targets()
+    targets = load("tracer").Tracer()._targets()
     assert targets
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in targets if attr not in vars(owner)]
@@ -31,3 +36,18 @@ def test_imported_names_exist():
     assert accel.NUMBA_ENABLED is False
     assert accel.python_impl(len) is len
     assert set(sampler.INVARIANT_COUNTS) >= {"checks", "violations"}
+
+
+@pytest.mark.parametrize("name", ["hawkes-batch", "long-horizon"])
+def test_pipeline_argv_parses_to_its_values(name):
+    workloads = load("workloads")
+    wl = workloads.WORKLOADS[name]
+    argv = workloads.Pass(wl, 3, None, "wd", None, None).pipeline_argv("wd")
+    args = cli.build_parser().parse_args(argv)
+    num, num_eval, length, batch = wl.pipeline
+    assert (args.command, args.workdir, args.seed) == ("pipeline", "wd", 3)
+    assert (args.batch_size, args.horizon, args.steps, args.epochs) == (
+        batch, wl.horizon, workloads.STEPS, 1)
+    assert (args.kind, tuple(args.base_rates), tuple(args.excite), args.decay) == (
+        "hawkes", wl.base_rates, wl.excite, wl.decay)
+    assert (args.num_seqs, args.eval_seqs, args.length) == (num, num_eval, length)
