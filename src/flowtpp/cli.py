@@ -30,7 +30,8 @@ from .metrics import (
 )
 from .model import Model, ModelConfig, TrainConfig, train
 from .sampler import SamplerConfig, generate, predictions_to_sequences
-from .synthgen import HawkesSpec, simulate_hawkes, simulate_poisson
+from .synthgen import (HawkesSpec, poisson_mark_probs, simulate_hawkes,
+                       simulate_poisson)
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +75,7 @@ class SimulateConfig(Config, section="simulate"):
         return self.vocab_size if self.kind == "poisson" else len(self.base_rates)
 
     def validate(self):
-        for key in ("num_seqs", "eval_seqs", "length"):
+        for key in ("num_seqs", "eval_seqs", "length", "vocab_size"):
             self.require(getattr(self, key) >= 1, key, ">= 1")
         self.require(self.kind in ("poisson", "hawkes"), "kind",
                      "'poisson' or 'hawkes'")
@@ -86,6 +87,22 @@ class SimulateConfig(Config, section="simulate"):
         if self.kind == "hawkes":
             self.require(len(self.excite) == m * m, "excite",
                          f"{m * m} numbers (row-major {m}x{m} for {m} base_rates)")
+        # synthgen's checks of the process parameters, whose messages start
+        # with the key
+        try:
+            self.generator()
+        except ValidationError as exc:
+            raise ValidationError(f"simulate.{exc}") from None
+
+    def generator(self):
+        """seed -> one simulated sequence of this process."""
+        m = self.types
+        if self.kind == "poisson":
+            probs = poisson_mark_probs(self.rate, self.mark_probs or np.full(m, 1.0 / m))
+            return lambda seed: simulate_poisson(self.rate, probs, self.length, seed)
+        spec = HawkesSpec(np.asarray(self.base_rates),
+                          np.asarray(self.excite).reshape(m, m), self.decay)
+        return lambda seed: simulate_hawkes(spec, self.length, seed)
 
 
 # keys and value types of each config-file section, one Config class each; a
@@ -169,15 +186,8 @@ def _write_report(path, doc: dict):
 
 
 def _simulate_sequences(sim: SimulateConfig, seed: int, n: int, stream: int = 2):
-    m = sim.types
-    if sim.kind == "poisson":
-        probs = np.asarray(sim.mark_probs or np.full(m, 1.0 / m))
-        return [simulate_poisson(sim.rate, probs, sim.length, seed=[seed, stream, i])
-                for i in range(n)]
-    spec = HawkesSpec(np.asarray(sim.base_rates),
-                      np.asarray(sim.excite).reshape(m, m), sim.decay)
-    return [simulate_hawkes(spec, sim.length, seed=[seed, stream, i])
-            for i in range(n)]
+    draw = sim.generator()
+    return [draw([seed, stream, i]) for i in range(n)]
 
 
 def cmd_simulate(args) -> int:
@@ -208,6 +218,8 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     train_cfg = TrainConfig.from_dict(_section(config, "train", args))
     settings = _section(config, "model", args)
+    # the data sets vocab_size; check every other key before reading it
+    ModelConfig.from_dict({"vocab_size": 1, **settings})
     windows = _windows(args.data, settings.get("horizon", ModelConfig.horizon),
                        settings.get("vocab_size"))
     model_cfg = ModelConfig.from_dict(

@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence, ForecastWindow
-from .synthgen import _TINY_DT, categorical
+from .synthgen import _TINY_DT, categorical_rows
 
 log = logging.getLogger(__name__)
 
@@ -306,41 +306,9 @@ class Model:
         pi0 = (np.full(m, 1.0 / m) if cfg.pi0_mode == "uniform"
                else estimate_pi0(context, m))
         x0 = np.maximum(rng.exponential(1.0 / rate, size=length), floor)
-        return x0, categorical(pi0, length, rng)
+        return x0, categorical_rows(np.broadcast_to(pi0, (length, m)), rng)
 
-    # ---- networks ----------------------------------------------------------
-
-    def forward(self, x_t, y_t, t, h_rows) -> tuple:
-        """Vector field value and mark logits at (x_t, y_t, t | h_c).
-
-        h_rows is the per-sample context vector, already expanded to one row
-        per sample; returns (v (n,1), logits (n,M)) as tape Tensors.
-        """
-        cfg = self.config
-        x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
-        y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
-        n = x_t.shape[0]
-        if np.any(y_t < 0) or np.any(y_t >= cfg.vocab_size):
-            raise ValidationError("mark out of vocabulary in forward input")
-        t_arr = np.full(n, t, dtype=np.float64) if np.ndim(t) == 0 else np.asarray(
-            t, dtype=np.float64
-        )
-        onehot = np.zeros((n, cfg.vocab_size))
-        onehot[np.arange(n), y_t] = 1.0
-        feats = nn.concat(
-            [
-                nn.Tensor(x_t[:, None]),
-                nn.Tensor(onehot),
-                nn.Tensor(sinusoidal_features(t_arr, cfg.t_embed_dim)),
-                h_rows if isinstance(h_rows, nn.Tensor) else nn.Tensor(h_rows),
-            ],
-            axis=1,
-        )
-        v = nn.mlp_forward(self.store, feats, self._vf_sizes, prefix="vf")
-        logits = nn.mlp_forward(self.store, feats, self._head_sizes, prefix="head")
-        return v, logits
-
-    # ---- inference: plain arrays, no tape ------------------------------------
+    # ---- networks: plain arrays, no tape --------------------------------------
     #
     # Both networks read concat([x, onehot(y), phi(t), h_c]), so their first
     # layers split into x*W_x + W_y[y] + phi(t) @ W_t + (h_c @ W_h + b). The

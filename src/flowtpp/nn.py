@@ -5,6 +5,12 @@ Everything is float64 numpy. Gradients are computed over an explicit tape
 a checked failure: `backward` refuses a non-finite loss, and `adam_step`
 refuses non-finite gradients or updates, so numerical blowups surface as
 NumericalError instead of propagating silently.
+
+Tensor keeps the ops that mlp_forward and gru_step build on, plus sum,
+square and take_rows, which perfbench/selftest.py and the acceptance
+gradient check call. Training puts two nodes with hand-written backward
+passes on the tape (Model.encode_contexts and Model.loss_total); the
+generic-tape model they are checked against is tests/tape.py.
 """
 
 from __future__ import annotations
@@ -129,25 +135,6 @@ class Tensor:
         out._backward = backward if out.requires_grad else None
         return out
 
-    def exp(self):
-        val = np.exp(self.data)
-        out = Tensor(val, parents=(self,))
-
-        def backward():
-            self._accum(out.grad * val)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-
-        def backward():
-            self._accum(out.grad / self.data)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
     def square(self):
         out = Tensor(self.data * self.data, parents=(self,))
 
@@ -171,10 +158,6 @@ class Tensor:
         out._backward = backward if out.requires_grad else None
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def take_rows(self, idx: np.ndarray):
         """Row gather (embedding lookup); backward scatter-adds."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -188,46 +171,9 @@ class Tensor:
         out._backward = backward if out.requires_grad else None
         return out
 
-    def select_columns(self, idx: np.ndarray):
-        """Per-row column pick: out[i] = self[i, idx[i]]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        rows = np.arange(self.data.shape[0])
-        out = Tensor(self.data[rows, idx], parents=(self,))
-
-        def backward():
-            acc = np.zeros_like(self.data)
-            np.add.at(acc, (rows, idx), out.grad)
-            self._accum(acc)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def concat(tensors, axis: int = 1) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
-                 parents=tuple(parts))
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.grad.ndim
-            sl[axis] = slice(lo, hi)
-            part._accum(out.grad[tuple(sl)])
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def log_softmax(t: Tensor, axis: int = 1) -> Tensor:
-    # max-shift is a detached constant; the gradient identity is unaffected
-    shift = t - Tensor(t.data.max(axis=axis, keepdims=True))
-    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import Config, NumericalError, ValidationError
 from .events import EventSequence
 from .model import Model
 from .nn import softmax
+from .synthgen import categorical_rows
 
 # every generate() call counts its invariant checks here; violations also
 # trip asserts inside the loop
@@ -70,14 +71,6 @@ def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
         u = (p_t - onehot) / (1.0 - t)
         p_new = np.maximum(onehot + h * u, eps_prob)
     return p_new / p_new.sum(axis=1, keepdims=True)
-
-
-def categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (n, M) probability matrix."""
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
 
 def flow_step(model, x, y, t: float, proj_rows, streams,

@@ -26,15 +26,24 @@ def _validate_simplex(probs, tol=1e-9) -> np.ndarray:
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValidationError("mark_probs entries must be finite and non-negative")
     if abs(float(p.sum()) - 1.0) > tol:
-        raise ValidationError(f"mark_probs must sum to 1 (got {p.sum()!r})")
+        raise ValidationError(f"mark_probs must sum to 1 (got {float(p.sum())!r})")
     return p
 
 
-def categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF categorical draws; deterministic given the rng state."""
-    cdf = np.cumsum(probs)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.minimum(idx, probs.shape[0] - 1).astype(np.int64)
+def poisson_mark_probs(rate: float, mark_probs) -> np.ndarray:
+    """The checked mark distribution of a Poisson process with this rate."""
+    if not (np.isfinite(rate) and rate > 0):
+        raise ValidationError(f"rate must be positive, got {rate}")
+    return _validate_simplex(mark_probs)
+
+
+def categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row of an (n, M) probability matrix: row i
+    is the first k with u_i < cdf[i, k], for one uniform u_i per row."""
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(probs.shape[0])
+    idx = (u[:, None] >= cdf).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,8 @@ class HawkesSpec:
         radius = float(np.max(np.abs(np.linalg.eigvals(alpha / self.decay))))
         if radius >= 1.0:
             raise ValidationError(
-                f"unstable process: spectral radius of excite/decay is {radius:.4f} >= 1"
+                f"excite must keep the process stable (spectral radius of "
+                f"excite/decay below 1), got spectral radius {radius:.4f}"
             )
         mu.flags.writeable = False
         alpha.flags.writeable = False
@@ -83,14 +93,12 @@ class HawkesSpec:
 
 def simulate_poisson(rate: float, mark_probs, length: int, seed) -> EventSequence:
     """Homogeneous Poisson process with i.i.d. categorical marks."""
-    if not (np.isfinite(rate) and rate > 0):
-        raise ValidationError(f"rate must be positive, got {rate}")
+    probs = poisson_mark_probs(rate, mark_probs)
     if length < 1:
         raise ValidationError(f"length must be positive, got {length}")
-    probs = _validate_simplex(mark_probs)
     rng = np.random.default_rng(seed)
     dts = np.maximum(rng.exponential(1.0 / rate, size=length), _TINY_DT)
-    marks = categorical(probs, length, rng)
+    marks = categorical_rows(np.broadcast_to(probs, (length, probs.shape[0])), rng)
     return EventSequence(dts, marks, probs.shape[0])
 
 

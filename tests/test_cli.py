@@ -218,6 +218,17 @@ class TestMalformedConfig:
          "sampler.steps must be >= 1"),
         # a flag value is checked by its section's rules, as a file value is
         ("simulate-kind-flag", {}, "simulate.kind must be"),
+        # the simulators' own checks name their simulate key
+        ("simulate", {"simulate": {"rate": 0}}, "simulate.rate must be positive"),
+        ("simulate", {"simulate": {"kind": "hawkes", "decay": 0}},
+         "simulate.decay must be positive"),
+        ("simulate", {"simulate": {"mark_probs": [0.5, 0.5, 0.5]}},
+         "simulate.mark_probs must sum to 1 (got 1.5)"),
+        ("simulate", {"simulate": {"kind": "hawkes", "excite": [2, 0, 0, 2]}},
+         "simulate.excite must keep the process stable"),
+        ("simulate", {"simulate": {"vocab_size": 0}},
+         "simulate.vocab_size must be >= 1"),
+        ("train-missing-data", {"model": {"d": 0}}, "model.d must be >= 1"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -241,6 +252,8 @@ class TestMalformedConfig:
                                           str(tmp_path / "none"), "--data",
                                           data_path, "--out", str(out)],
             "simulate-kind-flag": ["simulate", "--kind", "bogus", "--out", str(out)],
+            "train-missing-data": ["train", "--data", str(tmp_path / "none"),
+                                   "--out", str(out)],
         }[command]
         proc = run_cli([*argv, "--config", str(cfg)])
         assert proc.returncode == 1, proc.stderr
@@ -553,9 +566,14 @@ class TestPipeline:
          "model.horizon must be < simulate.length"),
         ([], {"model": {**SMALL_MODEL, "vocab_size": 5}},
          "model.vocab_size must be 3"),
+        (["--rate", "0"], {}, "simulate.rate must be positive"),
+        (["--kind", "hawkes", "--decay", "0"], {}, "simulate.decay must be positive"),
+        (["--mark-probs", "0.5,0.5,0.5"], {}, "simulate.mark_probs must sum to 1"),
+        (["--kind", "hawkes", "--excite", "2,0,0,2"], {},
+         "simulate.excite must keep the process stable"),
     ], ids=["eval-seqs-0", "num-seqs-0", "train-seed", "simulate-seed", "train-lr",
             "sampler-steps", "otd-delete-cost", "rmse-y-mode", "horizon-length",
-            "vocab-size"])
+            "vocab-size", "rate-0", "decay-0", "mark-probs-sum", "unstable"])
     def test_exits_1_before_writing(self, tmp_path, flags, config, named):
         # a bad value in any stage's section, a horizon no sequence exceeds,
         # and a section seed that the stage seeds would silently override

@@ -23,7 +23,8 @@ from flowtpp import (
 )
 from flowtpp import nn
 from flowtpp.model import ENCODER_PARAMS, FlowSample
-from flowtpp.synthgen import _TINY_DT, categorical
+from flowtpp.synthgen import _TINY_DT, categorical_rows
+from tape import forward, tape_encode_contexts, tape_loss_total
 
 # critical values of the chi-squared distribution at p = 0.01
 CHI2_CRIT = {2: 9.210, 3: 11.345}
@@ -113,7 +114,8 @@ class TestInterpolateTime:
 def noisy_marks(y1, t, pi0, rng):
     """build_flow_batch's mark path: y0 ~ Cat(pi0), then corrupt_mark."""
     y1 = np.asarray(y1)
-    return corrupt_mark(y1, t, categorical(np.asarray(pi0), y1.shape[0], rng), rng)
+    y0 = categorical_rows(np.broadcast_to(pi0, (y1.shape[0], len(pi0))), rng)
+    return corrupt_mark(y1, t, y0, rng)
 
 
 class TestCorruptMark:
@@ -302,38 +304,6 @@ def random_contexts(rng, n, vocab_size, max_len):
 PARITY_TOL = 1e-12
 
 
-def tape_encode_contexts(model, contexts):
-    """Reference encoder on the generic tape: every row steps through the
-    longest context, and a mask blends padded steps back to the old state."""
-    cfg = model.config
-    marks, logdts, lens = model._pad_contexts(contexts)
-    b, maxlen = marks.shape
-    active = (np.arange(maxlen)[None, :] < lens[:, None]).astype(np.float64)
-    table = model.store["mark_embed.table"]
-    h = nn.Tensor(np.zeros((b, cfg.d)))
-    one = nn.Tensor(1.0)
-    for k in range(maxlen):
-        e_mark = table.take_rows(marks[:, k])
-        e_time = nn.mlp_forward(model.store, logdts[:, k : k + 1],
-                                [1, cfg.time_embed_dim], prefix="time_embed")
-        z = nn.concat([e_mark, e_time], axis=1)
-        h_new = nn.gru_step(model.store, z, h, prefix="enc")
-        m = nn.Tensor(active[:, k : k + 1])
-        h = m * h_new + (one - m) * h
-    return h
-
-
-def tape_loss_total(model, batch, h_c, alpha):
-    """Reference joint loss on the generic tape through Model.forward."""
-    v, logits = model.forward(batch.x_t, batch.y_t, batch.t,
-                              h_c.take_rows(batch.window_idx))
-    target = nn.Tensor((batch.x1 - batch.x0)[:, None])
-    l_time = (v - target).square().mean()
-    l_mark = -nn.log_softmax(logits, axis=1).select_columns(batch.y1).mean()
-    total = l_time + nn.Tensor(float(alpha)) * l_mark
-    return total, float(l_time.data), float(l_mark.data)
-
-
 class TestPlainForwardParity:
     """The tape-free inference path against the tape path it replaces at
     inference: same values up to summation order."""
@@ -369,7 +339,7 @@ class TestPlainForwardParity:
         h_rows = model.encode_contexts(ctxs).take_rows(rows)
         proj_rows = model.project_contexts(ctxs)[rows]
         for t in (float(rng.random()), rng.random(23)):
-            v, logits = model.forward(x, y, t, h_rows)
+            v, logits = forward(model, x, y, t, h_rows)
             v_fast, logits_fast = model.predict(x, y, t, proj_rows)
             v_field, _ = model.predict(x, y, t, proj_rows, marks=False)
             np.testing.assert_allclose(v_fast, v.data.ravel(), rtol=0, atol=PARITY_TOL)

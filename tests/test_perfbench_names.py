@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from flowtpp import accel, cli, sampler
+from flowtpp import accel, cli, nn, sampler
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -36,6 +36,8 @@ def test_imported_names_exist():
     assert accel.NUMBA_ENABLED is False
     assert accel.python_impl(len) is len
     assert set(sampler.INVARIANT_COUNTS) >= {"checks", "violations"}
+    # perfbench/selftest.py sums a Tensor, and no tracer target covers it
+    assert "sum" in vars(nn.Tensor)
 
 
 @pytest.mark.parametrize("name", ["hawkes-batch", "long-horizon"])

@@ -22,7 +22,7 @@ from flowtpp.sampler import (
     flow_step,
     mark_probs,
 )
-from flowtpp.synthgen import categorical
+from tape import reference_generate
 
 
 def small_windows(n, horizon=4, m=3, seed_hi=31):
@@ -72,29 +72,6 @@ class EchoMarks(ConstantField):
         logits = np.zeros((len(y), self.config.vocab_size))
         logits[np.arange(len(y)), y] = 50.0
         return logits
-
-
-def reference_generate(model, windows, cfg):
-    """The sampler written out on the tape path, one window at a time: S
-    midpoint steps of Model.forward, marks redrawn from the pre-midpoint
-    logits, window i drawing from stream [seed, 3, i]."""
-    h_c = model.encode_contexts([w.context for w in windows])
-    out = []
-    for i, w in enumerate(windows):
-        rng = np.random.default_rng([cfg.seed, 3, i])
-        x, y = model.draw_noise(w.context, w.horizon, rng, cfg.eps_time)
-        h_rows = h_c.take_rows(np.full(w.horizon, i))
-        t = 0.0
-        for _ in range(cfg.steps):
-            v0, logits = model.forward(x, y, t, h_rows)
-            x_mid = np.maximum(x + 0.5 * cfg.h * v0.data.ravel(), cfg.eps_time)
-            v_mid, _ = model.forward(x_mid, y, t + 0.5 * cfg.h, h_rows)
-            x = np.maximum(x + cfg.h * v_mid.data.ravel(), cfg.eps_time)
-            p_new = mark_probs(logits.data, y, t, cfg.h, cfg.eps_prob)
-            y = categorical_rows(p_new, rng)
-            t += cfg.h
-        out.append((x, y))
-    return out
 
 
 def ragged_windows(n, horizon=4, m=3, seed_hi=32):
@@ -151,7 +128,7 @@ class TestInitNoise:
         np.testing.assert_array_equal(
             x, np.maximum(replay.exponential(0.5, 50), 1e-6))
         np.testing.assert_array_equal(
-            y, categorical(np.array([2 / 6, 1 / 6, 3 / 6]), 50, replay))
+            y, categorical_rows(np.tile([2 / 6, 1 / 6, 3 / 6], (50, 1)), replay))
 
     def test_deterministic(self):
         net = ConstantField(0.0, vocab_size=2, manual_rate=1.5)

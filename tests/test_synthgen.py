@@ -4,7 +4,7 @@ import pytest
 import kernel_reference
 from flowtpp import HawkesSpec, ValidationError, simulate_hawkes, simulate_poisson
 from flowtpp.kernels import hawkes_thinning
-from flowtpp.synthgen import categorical
+from flowtpp.synthgen import categorical_rows
 
 
 class TestPoisson:
@@ -49,12 +49,22 @@ class TestPoisson:
 class TestCategorical:
     def test_inverse_cdf_frequencies(self):
         rng = np.random.default_rng(0)
-        draws = categorical(np.array([0.1, 0.9]), 20000, rng)
+        draws = categorical_rows(np.tile([0.1, 0.9], (20000, 1)), rng)
         assert abs(draws.mean() - 0.9) < 0.01
 
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        assert (categorical(np.array([0.0, 1.0, 0.0]), 100, rng) == 1).all()
+        assert (categorical_rows(np.tile([0.0, 1.0, 0.0], (100, 1)), rng) == 1).all()
+
+    def test_uniform_on_a_cdf_value_skips_zero_mass(self):
+        # a uniform equal to cdf[k] draws past k, so u = 0 never picks a
+        # leading class of probability 0
+        class Fixed:
+            def random(self, n):
+                return np.array([0.0, 0.5])[:n]
+
+        probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(categorical_rows(probs, Fixed()), [1, 2])
 
 
 class TestHawkesSpec:
