@@ -141,7 +141,7 @@ def _load_config(path) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read config {path}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ValidationError(f"config {path} must be a JSON object")

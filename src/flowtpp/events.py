@@ -195,7 +195,10 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
     a logged warning. If ``vocab_size`` is given it must match the header.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         return []
     meta = _parse_meta(lines[0])

@@ -9,6 +9,7 @@ on the clean mark.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -26,12 +27,17 @@ ENCODER_PARAMS = ("mark_embed.table", "time_embed.0.W", "time_embed.0.b",
                   *(f"enc.{w}{g}" for g in "zrh" for w in "WUb"))
 
 
+@functools.cache
+def _frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
+    freqs.flags.writeable = False  # one table, shared by every call
+    return freqs
+
+
 def sinusoidal_features(t, dim: int) -> np.ndarray:
     """Fixed sin/cos features of flow time t with log-spaced frequencies."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    half = dim // 2
-    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
-    angles = t[:, None] * freqs[None, :]
+    angles = t[:, None] * _frequencies(dim // 2)[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
@@ -352,8 +358,8 @@ class Model:
         return [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
 
     def _run_nets(self, x_t, y_t, t, proj_rows, marks: bool, acts=None) -> tuple:
-        """predict's forward; with a list acts, each net's tanh outputs are
-        appended to it, one list per net."""
+        """predict's forward; with a list acts, the time features phi(t) and
+        then each net's tanh outputs, one list per net, are appended to it."""
         cfg = self.config
         x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
         y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
@@ -363,8 +369,10 @@ class Model:
         w1 = [self.store[f"{net}.0.W"].data for net, _ in nets]
         y_rows, t_rows = self._first_layer_rows()
         w_y = np.concatenate([w[y_rows] for w in w1], axis=1)
-        phi_w = sinusoidal_features(t, cfg.t_embed_dim) @ np.concatenate(
-            [w[t_rows] for w in w1], axis=1)
+        phi = sinusoidal_features(t, cfg.t_embed_dim)
+        if acts is not None:
+            acts.append(phi)
+        phi_w = phi @ np.concatenate([w[t_rows] for w in w1], axis=1)
         a = np.multiply.outer(x_t, np.concatenate([w[0] for w in w1]))
         a += proj_rows[:, : a.shape[1]]
         if np.ndim(t) == 0:
@@ -428,6 +436,7 @@ class Model:
         v, logits = self._run_nets(batch.x_t, batch.y_t, batch.t,
                                    self._project(h_c.data)[batch.window_idx],
                                    True, acts)
+        phi, *acts = acts
         resid = v - (batch.x1 - batch.x0)
         l_time = (resid * resid).sum() / n
         shift = logits - logits.max(axis=1, keepdims=True)
@@ -456,11 +465,8 @@ class Model:
                 d_first.append(d)
             d_a = np.concatenate(d_first, axis=1)
             # scatters to marks and windows are one-hot matmuls
-            inputs = np.concatenate([
-                batch.x_t[:, None],
-                batch.y_t[:, None] == np.arange(self.config.vocab_size),
-                sinusoidal_features(batch.t, self.config.t_embed_dim),
-            ], axis=1)
+            inputs = np.concatenate([batch.x_t[:, None], batch.y_t[:, None]
+                                     == np.arange(self.config.vocab_size), phi], axis=1)
             to_window = batch.window_idx == np.arange(h_c.shape[0])[:, None]
             d_proj = to_window.astype(np.float64) @ d_a
             d_w = np.concatenate([inputs.T @ d_a, h_c.data.T @ d_proj])
@@ -481,22 +487,14 @@ class Model:
     # ---- persistence -----------------------------------------------------------
 
     def save_checkpoint(self, path, extra_config: dict | None = None):
-        cfg: dict = {"model": self.config.to_dict()}
-        if extra_config:
-            cfg.update(extra_config)
-        nn.save_checkpoint(path, cfg, self.store)
+        nn.save_checkpoint(path, {"model": self.config.to_dict(), **(extra_config or {})},
+                           self.store)
 
     @classmethod
     def from_checkpoint(cls, path) -> "Model":
+        """The model save_checkpoint wrote to path; unknown "model" keys fail."""
         cfg_doc, state = nn.load_checkpoint(path)
-        model_cfg = cfg_doc.get("model", cfg_doc)
-        if isinstance(model_cfg, dict):
-            # version-1 checkpoints may store the networks' only activation
-            activation = model_cfg.pop("activation", "tanh")
-            if activation != "tanh":
-                raise ValidationError(f"checkpoint {path}: model.activation "
-                                      f"{activation!r} is not supported, only tanh")
-        model = cls(ModelConfig.from_dict(model_cfg), init=False)
+        model = cls(ModelConfig.from_dict(cfg_doc.get("model", cfg_doc)), init=False)
         model.store.load_state(state)
         return model
 

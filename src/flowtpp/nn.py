@@ -1,6 +1,7 @@
-"""Minimal reverse-mode autodiff core: tensors, layers, Adam.
+"""Minimal reverse-mode autodiff core: tensors, layers, Adam, checkpoints.
 
-Everything is float64 numpy. Gradients are computed over an explicit tape
+Everything is float64 numpy; checkpoints store it bit-exact, as base64 of
+little-endian bytes in C order. Gradients are computed over an explicit tape
 (the object graph of Tensor parents) with no graph optimization. NaN/Inf is
 a checked failure: `backward` refuses a non-finite loss, and `adam_step`
 refuses non-finite gradients or updates, so numerical blowups surface as
@@ -15,6 +16,7 @@ generic-tape model they are checked against is tests/tape.py.
 
 from __future__ import annotations
 
+import base64
 import json
 from typing import Optional
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -252,45 +254,41 @@ class ParamStore:
             t.grad = None
 
     def state_dict(self) -> dict:
-        return {
-            path: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-            for path, t in sorted(self.params.items())
-        }
+        return {path: {"shape": list(t.data.shape), "data": base64.b64encode(
+                    np.ascontiguousarray(t.data, "<f8").tobytes()).decode()}
+                for path, t in sorted(self.params.items())}
 
     def load_state(self, state: dict):
         missing = sorted(set(self.params) - set(state))
         extra = sorted(set(state) - set(self.params))
         if missing or extra:
             raise ValidationError(
-                f"parameter mismatch: missing {missing}, unexpected {extra}"
-            )
+                f"parameter mismatch: missing {missing}, unexpected {extra}")
         for path, t in self.params.items():
-            shape, flat = _checked_entry(path, state[path])
-            if shape != t.data.shape:
-                raise ValidationError(
-                    f"shape mismatch for {path!r}: checkpoint {shape}, model {t.data.shape}"
-                )
-            if flat.size != t.data.size:
-                raise ValidationError(f"data length mismatch for {path!r}")
-            t.data = flat.reshape(shape)
+            values = _checked_entry(path, state[path])
+            if values.shape != t.data.shape:
+                raise ValidationError(f"shape mismatch for {path!r}: checkpoint "
+                                      f"{values.shape}, model {t.data.shape}")
+            t.data = values
 
 
-def _checked_entry(path: str, entry) -> tuple:
-    """(shape, flat float64 data) of one state entry: an object with a list
-    of integers "shape" and a list of finite numbers "data"."""
+def _checked_entry(path: str, entry) -> np.ndarray:
+    """The values of one state entry, as a writable float64 copy: an object
+    with a list of non-negative integers "shape" and a str "data", the base64
+    of finite little-endian float64 values filling shape in C order."""
     entry = entry if isinstance(entry, dict) else {}
     shape, data = entry.get("shape"), entry.get("data")
-    if not (isinstance(shape, list) and set(map(type, shape)) <= {int}):
-        raise ValidationError(f"parameter {path!r}: shape must be a list of integers")
-    numbers = isinstance(data, list) and set(map(type, data)) <= {float, int}
-    try:
-        flat = np.asarray(data, dtype=np.float64) if numbers else None
-    except OverflowError:  # an integer beyond the float range
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValidationError(
-            f"parameter {path!r}: data must be a list of finite numbers")
-    return tuple(shape), flat
+            f"parameter {path!r}: shape must be a list of non-negative integers")
+    try:  # TypeError: data is not a str; ValueError: not base64 filling shape
+        values = np.frombuffer(base64.b64decode(data, validate=True), "<f8").reshape(shape)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ValidationError(f"parameter {path!r}: data must be base64 of finite "
+                              f"little-endian float64s filling shape {shape}")
+    return values.astype(np.float64)
 
 
 def mlp_forward(params: ParamStore, input, layer_sizes,
@@ -383,11 +381,12 @@ def load_checkpoint(path) -> tuple:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
+        raise ValidationError(f"checkpoint {path}: unsupported version {version!r}; "
+                              f"retrain to write version {CHECKPOINT_VERSION}")
     if not all(isinstance(doc.get(key), dict) for key in ("config", "params")):
         raise ValidationError(f"checkpoint {path}: missing config object or params")
     return doc["config"], doc["params"]

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowtpp
 from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
@@ -117,11 +120,13 @@ class TestTrain:
 
     def test_checkpoint_document(self, checkpoint):
         doc = json.loads(open(checkpoint).read())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["config"]["seed"] == 5
         assert doc["config"]["model"]["vocab_size"] == 3
         assert doc["config"]["train"]["epochs"] == 2
-        assert "params" in doc
+        entry = doc["params"]["vf.0.b"]
+        assert entry["shape"] == [8] and isinstance(entry["data"], str)
+        assert len(base64.b64decode(entry["data"], validate=True)) == 8 * 8
 
     def test_missing_data_file(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
@@ -274,47 +279,57 @@ class TestMalformedConfig:
 
 
 class TestCheckpointActivation:
-    """Version-1 checkpoints stored the networks' activation; tanh, the
-    only one they ever had, loads, and anything else exits 1."""
+    """Version-1 checkpoints could store the networks' activation; in a
+    checkpoint today it is an unknown model key, which exits 1 naming it."""
 
-    def rewrite(self, checkpoint, tmp_path, value):
+    def assert_exits_1(self, checkpoint, tmp_path, data_path, value):
         doc = json.loads(open(checkpoint).read())
         doc["config"]["model"]["activation"] = value
         path = tmp_path / f"{value}.json"
         path.write_text(json.dumps(doc, sort_keys=True))
-        return str(path)
-
-    def test_stored_tanh_samples_as_before(self, tmp_path, checkpoint, data_path):
-        old = self.rewrite(checkpoint, tmp_path, "tanh")
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        argv = ["sample", "--data", data_path, "--steps", "2", "--seed", "5"]
-        assert main(argv + ["--checkpoint", checkpoint, "--out", str(a)]) == 0
-        assert main(argv + ["--checkpoint", old, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_stored_relu_exits_1(self, tmp_path, checkpoint, data_path):
         out = tmp_path / "pred.jsonl"
-        proc = run_cli(["sample", "--checkpoint",
-                        self.rewrite(checkpoint, tmp_path, "relu"),
-                        "--data", data_path, "--out", str(out)])
+        proc = run_cli(["sample", "--checkpoint", str(path), "--data", data_path,
+                        "--out", str(out)])
         assert proc.returncode == 1, proc.stderr
-        assert "model.activation 'relu'" in proc.stderr
+        assert "model.activation" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_stored_tanh_exits_1(self, tmp_path, checkpoint, data_path):
+        self.assert_exits_1(checkpoint, tmp_path, data_path, "tanh")
+
+    def test_stored_relu_exits_1(self, tmp_path, checkpoint, data_path):
+        self.assert_exits_1(checkpoint, tmp_path, data_path, "relu")
+
+
+def values_of(entry) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(entry["data"]), "<f8")
+
+
+def with_values(entry, values) -> dict:
+    data = np.asarray(values, "<f8").tobytes()
+    return {**entry, "data": base64.b64encode(data).decode()}
+
 
 class TestMalformedCheckpoint:
-    """A parameter entry that is not {"shape": [integers], "data": [finite
-    numbers]} exits 1 naming the parameter, with no traceback."""
+    """A parameter entry that is not {"shape": [non-negative integers],
+    "data": base64 of finite float64 values} exits 1 naming the parameter,
+    with no traceback."""
 
     @pytest.mark.parametrize("corrupt", [
         lambda e: {**e, "shape": 5},
         lambda e: {"shape": e["shape"]},
-        lambda e: {**e, "data": ["x", *e["data"][1:]]},
+        lambda e: {**e, "data": e["data"][:4] + "!" + e["data"][4:]},
         lambda e: "vf.0.b",
-        lambda e: {**e, "data": [float("nan"), *e["data"][1:]]},
+        lambda e: with_values(e, [np.nan, *values_of(e)[1:]]),
+        lambda e: {**e, "data": values_of(e).tolist()},
+        lambda e: with_values(e, values_of(e)[1:]),
+        lambda e: with_values(e, [*values_of(e)[:-1], -np.inf]),
+        lambda e: {**e, "shape": [True, *e["shape"]]},
+        lambda e: {**e, "shape": [-1]},
     ], ids=["shape-not-list", "no-data", "string-in-data", "entry-string",
-            "nan-in-data"])
+            "nan-in-data", "version-1-list", "one-value-short", "inf-in-data",
+            "bool-dimension", "negative-dimension"])
     def test_exits_1_naming_path(self, tmp_path, checkpoint, data_path, corrupt):
         doc = json.loads(open(checkpoint).read())
         doc["params"]["vf.0.b"] = corrupt(doc["params"]["vf.0.b"])
@@ -325,6 +340,23 @@ class TestMalformedCheckpoint:
                         "--out", str(out)])
         assert proc.returncode == 1, proc.stderr
         assert "'vf.0.b'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_version_1_exits_1_asking_to_retrain(self, tmp_path, checkpoint,
+                                                 data_path):
+        doc = json.loads(open(checkpoint).read())
+        doc["version"] = 1
+        doc["params"] = {path: {**e, "data": values_of(e).tolist()}
+                         for path, e in doc["params"].items()}
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc, sort_keys=True))
+        out = tmp_path / "pred.jsonl"
+        proc = run_cli(["sample", "--checkpoint", str(old), "--data", data_path,
+                        "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert "unsupported version 1" in proc.stderr
+        assert "retrain" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -529,6 +561,86 @@ class TestArgHandling:
         cfg.write_text("[1, 2]")
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "x.jsonl")]) == 1
+
+
+def input_argv(command, flag, path, files, out) -> list:
+    """argv of command with path behind flag and valid files elsewhere."""
+    argv = {
+        "simulate": ["simulate", "--num-seqs", "2", "--length", "5",
+                     "--out", out],
+        "train": ["train", "--data", files["data"], "--config", files["config"],
+                  "--out", out, "--epochs", "1", "--horizon", "4"],
+        "sample": ["sample", "--checkpoint", files["checkpoint"], "--data",
+                   files["data"], "--out", out, "--steps", "1"],
+        "evaluate": ["evaluate", "--pred", files["pred"], "--truth",
+                     files["truth"], "--out", out],
+        "hist": ["hist", "--data", files["data"], "--out-times", out,
+                 "--out-marks", out],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = path
+        return argv
+    return [*argv, flag, path]
+
+
+@pytest.fixture(scope="module")
+def input_files(config_path, data_path, checkpoint, pred_truth):
+    pred, truth = pred_truth
+    return {"config": config_path, "data": data_path, "checkpoint": checkpoint,
+            "pred": pred, "truth": truth}
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 exits 1 naming the file, with no
+    traceback, at each of the three read sites: load_jsonl (--data, --pred),
+    load_checkpoint (--checkpoint) and the config loader (--config)."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("hist", "--data"), ("train", "--data"), ("sample", "--checkpoint"),
+        ("simulate", "--config"), ("evaluate", "--pred"),
+    ])
+    def test_exits_1_naming_file(self, tmp_path, input_files, command, flag):
+        bad = tmp_path / "utf16.bin"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        out = tmp_path / "out"
+        proc = run_cli(input_argv(command, flag, str(bad), input_files, str(out)))
+        assert proc.returncode == 1, proc.stderr
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+# small JSON values: scalars (NaN and infinities included, as json writes
+# them), and lists and objects of them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+input_bytes = (st.binary(max_size=64)
+               | json_values.map(lambda v: json.dumps(v).encode())
+               | st.lists(json_values, min_size=1, max_size=4).map(
+                   lambda vs: "\n".join(map(json.dumps, vs)).encode()))
+
+
+class TestFuzzInputs:
+    """Whatever bytes sit behind an input flag, main returns 0 or 1 and
+    raises nothing."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--config"), ("train", "--config"), ("train", "--data"),
+        ("sample", "--checkpoint"), ("sample", "--data"), ("evaluate", "--pred"),
+        ("evaluate", "--truth"), ("hist", "--data"),
+    ])
+    @settings(max_examples=60)
+    @given(content=input_bytes)
+    def test_exit_code_0_or_1(self, workdir, input_files, command, flag, content):
+        path = workdir / "fuzz.bin"
+        path.write_bytes(content)
+        rc = main(input_argv(command, flag, str(path), input_files,
+                             str(workdir / "fuzz.out")))
+        assert rc in (0, 1)
 
 
 class TestPipeline:
