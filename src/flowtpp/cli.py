@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (Config, NumericalError, ValidationError, check_section,
-                     check_value)
+                     check_value, parse_json, read_text)
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     HIST_BINS,
@@ -25,6 +26,7 @@ from .metrics import (
     aggregate,
     distribution_summary,
     evaluate_windows,
+    write_csv,
     write_mark_frequency_csv,
     write_time_histogram_csv,
 )
@@ -133,16 +135,10 @@ _FLAGS = {
 def _load_config(path) -> dict:
     """The config file at path, or an empty one, as {"seed": int (default 0),
     section: checked section} over every section. Unknown sections or keys
-    and wrongly typed values are errors."""
+    and wrongly typed values are errors. main reads it once per run."""
     doc = {}
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}")
+        doc = parse_json(read_text(path), f"config {path}")
         if not isinstance(doc, dict):
             raise ValidationError(f"config {path} must be a JSON object")
     unknown = sorted(set(doc) - {"seed", *_SECTIONS})
@@ -190,9 +186,8 @@ def _simulate_sequences(sim: SimulateConfig, seed: int, n: int, stream: int = 2)
     return [draw([seed, stream, i]) for i in range(n)]
 
 
-def cmd_simulate(args) -> int:
-    sim = SimulateConfig.from_dict(
-        _section(_load_config(args.config), "simulate", args))
+def cmd_simulate(args, config: dict) -> int:
+    sim = SimulateConfig.from_dict(_section(config, "simulate", args))
     seqs = _simulate_sequences(sim, sim.seed, sim.num_seqs)
     save_jsonl(args.out, seqs, sim.types, seed=sim.seed)
     print(f"wrote {sim.num_seqs} {sim.kind} sequences (M={sim.types}, "
@@ -203,19 +198,7 @@ def cmd_simulate(args) -> int:
 # ---- train ------------------------------------------------------------------
 
 
-def _write_trace(path, trace, seed: int):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# version=1 seed={seed}\n")
-        fh.write("epoch,loss_total,loss_time,loss_mark\n")
-        for row in trace:
-            fh.write(
-                f"{row['epoch']},{row['loss_total']!r},"
-                f"{row['loss_time']!r},{row['loss_mark']!r}\n"
-            )
-
-
-def cmd_train(args) -> int:
-    config = _load_config(args.config)
+def cmd_train(args, config: dict) -> int:
     train_cfg = TrainConfig.from_dict(_section(config, "train", args))
     settings = _section(config, "model", args)
     # the data sets vocab_size; check every other key before reading it
@@ -229,7 +212,9 @@ def cmd_train(args) -> int:
     model.save_checkpoint(args.out,
                           {"train": train_cfg.to_dict(), "seed": train_cfg.seed})
     trace_path = args.trace or f"{args.out}.trace.csv"
-    _write_trace(trace_path, trace, train_cfg.seed)
+    columns = ("epoch", "loss_total", "loss_time", "loss_mark")
+    write_csv(trace_path, train_cfg.seed, columns,
+              [[row[key] for key in columns] for row in trace])
     print(
         f"trained {train_cfg.epochs} epochs on {len(windows)} windows; "
         f"checkpoint {args.out}, trace {trace_path}"
@@ -240,8 +225,8 @@ def cmd_train(args) -> int:
 # ---- sample -----------------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
-    scfg = SamplerConfig.from_dict(_section(_load_config(args.config), "sampler", args))
+def cmd_sample(args, config: dict) -> int:
+    scfg = SamplerConfig.from_dict(_section(config, "sampler", args))
     model = Model.from_checkpoint(args.checkpoint)
     horizon = args.horizon if args.horizon is not None else model.config.horizon
     windows = _windows(args.data, horizon, model.config.vocab_size)
@@ -258,8 +243,7 @@ def cmd_sample(args) -> int:
 # ---- evaluate -----------------------------------------------------------------
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+def cmd_evaluate(args, config: dict) -> int:
     otd_cfg = OtdConfig.from_dict(_section(config, "otd", args))
     eval_cfg = EvaluateConfig.from_dict(_section(config, "evaluate", args))
     report = evaluate_windows(load_jsonl(args.pred), load_jsonl(args.truth),
@@ -279,16 +263,16 @@ def cmd_evaluate(args) -> int:
 # ---- hist ---------------------------------------------------------------------
 
 
-def cmd_hist(args) -> int:
-    _load_config(args.config)  # hist reads no setting, but rejects a bad file
+def cmd_hist(args, config: dict) -> int:
+    seed = args.seed if args.seed is not None else config["seed"]
     sequences = load_jsonl(args.data)
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
     summary = distribution_summary(sequences, bins=args.bins)
     times_path = args.out_times or f"{args.data}.times.csv"
     marks_path = args.out_marks or f"{args.data}.marks.csv"
-    write_time_histogram_csv(times_path, summary, seed=args.seed)
-    write_mark_frequency_csv(marks_path, summary, seed=args.seed)
+    write_time_histogram_csv(times_path, summary, seed)
+    write_mark_frequency_csv(marks_path, summary, seed)
     print(f"histograms written to {times_path} and {marks_path}")
     return 0
 
@@ -296,12 +280,9 @@ def cmd_hist(args) -> int:
 # ---- pipeline -------------------------------------------------------------------
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args, config: dict) -> int:
     """simulate once, then train+sample+evaluate per seed; aggregate report.
     Every stage's seed derives from --seed or the top-level seed."""
-    import os
-
-    config = _load_config(args.config)
     own_seeds = [f"{name}.seed" for name in _SECTIONS if "seed" in config[name]]
     if own_seeds:
         raise ValidationError(
@@ -349,10 +330,9 @@ def cmd_pipeline(args) -> int:
                                 "truth_out": truth}),
                   (cmd_evaluate, {"pred": pred, "truth": truth, "out": rep}))
         for command, paths in stages:
-            command(argparse.Namespace(**{**vars(args), "seed": seed + i, **paths}))
-
-        with open(rep, encoding="utf-8") as fh:
-            per_seed.append(json.load(fh)["aggregate"])
+            command(argparse.Namespace(**{**vars(args), "seed": seed + i, **paths}),
+                    config)
+        per_seed.append(parse_json(read_text(rep), rep)["aggregate"])
 
     overall = aggregate({name: [p[name]["mean"] for p in per_seed]
                          for name in per_seed[0]})
@@ -441,7 +421,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,9 @@
-"""Error types shared across modules, mapped to CLI exit codes, and the
-check behind every config section: closed keys, typed values."""
+"""Error types shared across modules, mapped to CLI exit codes; the one
+decoder of every input file; and the check behind every config section:
+closed keys, typed values."""
 
+import json
+import math
 import numbers
 import typing
 from dataclasses import MISSING, asdict, fields
@@ -14,6 +17,27 @@ class NumericalError(FloatingPointError):
     """Non-finite values or a diverged computation (CLI exit code 2)."""
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, else ValidationError naming it;
+    OSError passes through (main names the file)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def parse_json(text: str, where: str):
+    """json.loads(text), else ValidationError "<where>: invalid JSON (...)".
+    ValueError covers syntax, decode errors and the integer digit limit;
+    RecursionError a document nested too deeply."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from None
+
+
 # per scalar kind: the class a value must be an instance of, and its name
 _KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
           str: (str, "string")}
@@ -21,7 +45,8 @@ _KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
 
 def check_value(name: str, value, kind):
     """value as kind (int, float, str, tuple[int, ...] or tuple[float, ...]),
-    else ValidationError naming name; a bool is not a number."""
+    else ValidationError naming name; a bool is not a number, and a float is
+    finite."""
     if kind not in _KINDS:  # a tuple kind, from a list or a tuple
         item = kind.__args__[0]
         if not isinstance(value, (list, tuple)):
@@ -30,7 +55,12 @@ def check_value(name: str, value, kind):
         return tuple(check_value(name, v, item) for v in value)
     abc, what = _KINDS[kind]
     if isinstance(value, abc) and not isinstance(value, bool):
-        return kind(value)
+        try:  # float() of an integer past the float range overflows
+            if kind is not float or math.isfinite(float(value)):
+                return kind(value)
+        except OverflowError:
+            pass
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
     raise ValidationError(
         f"{name} must be {'an' if kind is int else 'a'} {what}, got {value!r}")
 
@@ -61,7 +91,8 @@ class Config:
     def __post_init__(self):
         for name, kind in self.field_types.items():
             value = getattr(self, name)
-            if type(value) is not kind:  # skips the slower checks of check_value
+            # an exact type skips the slower checks, but a float is finite
+            if type(value) is not kind or kind is float and not math.isfinite(value):
                 value = check_value(f"{self.section}.{name}", value, kind)
                 object.__setattr__(self, name, value)
         self.validate()

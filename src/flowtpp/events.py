@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_json, read_text
 
 log = logging.getLogger(__name__)
 
@@ -170,18 +170,16 @@ def make_windows(sequences, horizon: int) -> list[ForecastWindow]:
     return windows
 
 
-def _parse_meta(line: str):
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"line 1: invalid JSON header: {exc}") from exc
+def _header_vocab_size(line: str, where: str) -> int:
+    """M of the header line {"meta": {"vocab_size": M, ...}}."""
+    obj = parse_json(line, where)
     meta = obj.get("meta") if isinstance(obj, dict) else None
     if not isinstance(meta, dict) or "vocab_size" not in meta:
-        raise ValidationError('line 1: expected header {"meta":{"vocab_size":M}}')
+        raise ValidationError(f'{where}: expected header {{"meta":{{"vocab_size":M}}}}')
     vocab = meta["vocab_size"]
     if not isinstance(vocab, int) or isinstance(vocab, bool) or vocab < 1:
-        raise ValidationError(f"line 1: vocab_size must be a positive integer, got {vocab!r}")
-    return meta
+        raise ValidationError(f"{where}: vocab_size must be a positive integer, got {vocab!r}")
+    return vocab
 
 
 def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
@@ -190,41 +188,32 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
     The first line must declare the mark vocabulary
     (``{"meta":{"vocab_size":M}}``); data lines carry ``dts`` (inter-event
     times) or ``ts`` (absolute timestamps, converted on load) plus ``marks``.
-    Malformed lines are hard errors naming the line number; lines violating
-    the domain invariants (mark range, positivity) are rejected per-line with
-    a logged warning. If ``vocab_size`` is given it must match the header.
+    Malformed lines are hard errors naming the file and line number; lines
+    violating the domain invariants (mark range, positivity) are rejected
+    per-line with a logged warning. If ``vocab_size`` is given it must match
+    the header.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    lines = read_text(path).splitlines()
     if not lines:
         return []
-    meta = _parse_meta(lines[0])
-    declared = meta["vocab_size"]
+    declared = _header_vocab_size(lines[0], f"{path} line 1")
     if vocab_size is not None and vocab_size != declared:
-        raise ValidationError(
-            f"vocab_size mismatch: header declares {declared}, caller expects {vocab_size}"
-        )
+        raise ValidationError(f"{path}: vocab_size mismatch: header declares "
+                              f"{declared}, caller expects {vocab_size}")
 
     sequences = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+        where = f"{path} line {lineno}"
+        obj = parse_json(raw, where)
         if not isinstance(obj, dict) or "marks" not in obj or not ("dts" in obj or "ts" in obj):
-            raise ValidationError(
-                f'line {lineno}: expected {{"dts"|"ts":[...],"marks":[...]}}'
-            )
+            raise ValidationError(f'{where}: expected {{"dts"|"ts":[...],"marks":[...]}}')
         try:
             dts = obj["dts"] if "dts" in obj else to_inter_event(obj["ts"])
             seq = EventSequence(dts, obj["marks"], declared)
         except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-            log.warning("line %d rejected: %s", lineno, exc)
+            log.warning("%s rejected: %s", where, exc)
             continue
         sequences.append(seq)
     return sequences

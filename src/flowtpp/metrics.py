@@ -13,7 +13,6 @@ only the forecast horizon, so both streams are aligned from the cut point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,25 +214,24 @@ def histogram_tv(pred_dts: np.ndarray, truth_dts: np.ndarray,
     return float(0.5 * np.abs(pred / pred_dts.size - truth / truth_dts.size).sum())
 
 
-def write_time_histogram_csv(path, summary: DistributionSummary,
-                             seed=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# version=1 seed={'' if seed is None else seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "freq"])
-        freqs = summary.time_freqs
-        total = summary.time_counts.sum() + summary.overflow
-        for lo, hi, c, f in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
-                                summary.time_counts, freqs):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(c), repr(float(f))])
-        writer.writerow(["overflow", "inf", summary.overflow,
-                         repr(float(summary.overflow / max(total, 1)))])
+def write_csv(path, seed: int, header, rows):
+    """A CSV artifact: the comment "# version=1 seed=S", the header, then
+    one line per row, each value as str() and every line ending in \n."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# version=1 seed={seed}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
-def write_mark_frequency_csv(path, summary: DistributionSummary, seed=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# version=1 seed={'' if seed is None else seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mark", "count", "freq"])
-        for k, (c, f) in enumerate(zip(summary.mark_counts, summary.mark_freqs)):
-            writer.writerow([k, int(c), repr(float(f))])
+def write_time_histogram_csv(path, summary: DistributionSummary, seed: int):
+    edges = summary.bin_edges.tolist()
+    total = summary.time_counts.sum() + summary.overflow
+    write_csv(path, seed, ("bin_lo", "bin_hi", "count", "freq"), [
+        *zip(edges[:-1], edges[1:], summary.time_counts.tolist(),
+             summary.time_freqs.tolist()),
+        ("overflow", "inf", summary.overflow, float(summary.overflow / max(total, 1)))])
+
+
+def write_mark_frequency_csv(path, summary: DistributionSummary, seed: int):
+    counts = summary.mark_counts.tolist()
+    write_csv(path, seed, ("mark", "count", "freq"),
+              zip(range(len(counts)), counts, summary.mark_freqs.tolist()))

@@ -494,7 +494,7 @@ class Model:
     def from_checkpoint(cls, path) -> "Model":
         """The model save_checkpoint wrote to path; unknown "model" keys fail."""
         cfg_doc, state = nn.load_checkpoint(path)
-        model = cls(ModelConfig.from_dict(cfg_doc.get("model", cfg_doc)), init=False)
+        model = cls(ModelConfig.from_dict(cfg_doc.get("model")), init=False)
         model.store.load_state(state)
         return model
 
@@ -513,6 +513,9 @@ class TrainConfig(Config, section="train"):
         self.require(self.epochs >= 0, "epochs", ">= 0")
         self.require(self.batch_size >= 1, "batch_size", ">= 1")
         self.require(self.lr > 0, "lr", "> 0")
+        for key in ("beta1", "beta2"):
+            self.require(0 <= getattr(self, key) < 1, key, "in [0, 1)")
+        self.require(self.eps_opt > 0, "eps_opt", "> 0")
 
 
 def train(model: Model, windows, cfg: TrainConfig) -> list:

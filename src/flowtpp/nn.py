@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, parse_json, read_text
 
 CHECKPOINT_VERSION = 2
 
@@ -378,11 +378,7 @@ def save_checkpoint(path, config: dict, store: ParamStore):
 
 def load_checkpoint(path) -> tuple:
     """Returns (config dict, raw params state); shape checks happen on bind."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from exc
+    doc = parse_json(read_text(path), f"checkpoint {path}")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"checkpoint {path}: unsupported version {version!r}; "

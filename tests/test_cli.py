@@ -7,14 +7,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowtpp
 from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
                      make_windows)
 from flowtpp import cli
-from flowtpp.cli import main
+from flowtpp.cli import SimulateConfig, main
+from flowtpp.errors import ValidationError
+from flowtpp.metrics import EvaluateConfig, OtdConfig
+from flowtpp.model import TrainConfig
 
 SMALL_MODEL = {
     "d": 8,
@@ -234,6 +237,12 @@ class TestMalformedConfig:
         ("simulate", {"simulate": {"vocab_size": 0}},
          "simulate.vocab_size must be >= 1"),
         ("train-missing-data", {"model": {"d": 0}}, "model.d must be >= 1"),
+        # config numbers are finite, and Adam's are in range
+        ("evaluate-delete-cost-inf", {},
+         "otd.delete_cost must be a finite number, got inf"),
+        ("sample", {"sampler": {"eps_prob": float("inf")}},
+         "sampler.eps_prob must be a finite number, got inf"),
+        ("train", {"train": {"beta1": 2.0}}, "train.beta1 must be in [0, 1)"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -259,6 +268,9 @@ class TestMalformedConfig:
             "simulate-kind-flag": ["simulate", "--kind", "bogus", "--out", str(out)],
             "train-missing-data": ["train", "--data", str(tmp_path / "none"),
                                    "--out", str(out)],
+            "evaluate-delete-cost-inf": ["evaluate", "--pred", pred, "--truth",
+                                         truth, "--out", str(out),
+                                         "--delete-cost", "inf"],
         }[command]
         proc = run_cli([*argv, "--config", str(cfg)])
         assert proc.returncode == 1, proc.stderr
@@ -532,6 +544,30 @@ class TestHist:
         assert rc == 0
         assert t.exists() and m.exists()
 
+    @pytest.mark.parametrize("flags,seed", [
+        ([], "0"), (["--config", "{cfg}"], "5"),
+        (["--config", "{cfg}", "--seed", "4"], "4"),
+    ], ids=["default", "config", "flag-wins"])
+    def test_seed_precedence(self, tmp_path, data_path, flags, seed):
+        # --seed, then the config file's top-level seed, as in every command
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        t, m = tmp_path / "t.csv", tmp_path / "m.csv"
+        assert main(["hist", "--data", data_path, "--out-times", str(t),
+                     "--out-marks", str(m),
+                     *(flag.format(cfg=cfg) for flag in flags)]) == 0
+        for path in (t, m):
+            assert path.read_text().splitlines()[0] == f"# version=1 seed={seed}"
+
+    def test_csv_line_endings(self, tmp_path, data_path, checkpoint):
+        # bytes, since read_text() turns \r\n into \n
+        t, m = tmp_path / "t.csv", tmp_path / "m.csv"
+        assert main(["hist", "--data", data_path, "--out-times", str(t),
+                     "--out-marks", str(m)]) == 0
+        for path in (f"{checkpoint}.trace.csv", t, m):
+            data = open(path, "rb").read()
+            assert b"\r" not in data and data.endswith(b"\n"), path
+
 
 class TestArgHandling:
     def test_unknown_flag(self, capsys):
@@ -590,24 +626,50 @@ def input_files(config_path, data_path, checkpoint, pred_truth):
             "pred": pred, "truth": truth}
 
 
-class TestNonUtf8Input:
-    """An input file that is not UTF-8 exits 1 naming the file, with no
-    traceback, at each of the three read sites: load_jsonl (--data, --pred),
-    load_checkpoint (--checkpoint) and the config loader (--config)."""
+INPUT_FLAGS = [("hist", "--data"), ("train", "--data"), ("sample", "--checkpoint"),
+               ("simulate", "--config"), ("evaluate", "--pred"),
+               ("sample", "--data"), ("evaluate", "--truth")]
 
-    @pytest.mark.parametrize("command,flag", [
-        ("hist", "--data"), ("train", "--data"), ("sample", "--checkpoint"),
-        ("simulate", "--config"), ("evaluate", "--pred"),
-    ])
-    def test_exits_1_naming_file(self, tmp_path, input_files, command, flag):
-        bad = tmp_path / "utf16.bin"
-        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+# documents json cannot decode: nested past the recursion limit, an integer
+# past the 4,300-digit limit, and one cut short
+MALFORMED_JSON = {"deep": b"[" * 100_000, "huge-int": b"1" * 5000,
+                  "truncated": b'{"dts": [1.0, 2.0], "marks": [0'}
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8, or holds JSON that cannot be
+    decoded, exits 1 naming the file (and the line, in a JSONL file), with
+    no traceback and no output file, behind every input flag: load_jsonl
+    (--data, --pred, --truth), load_checkpoint (--checkpoint) and the config
+    loader (--config) all decode through errors.read_text and parse_json."""
+
+    def check_exit_1(self, tmp_path, input_files, command, flag, content, named):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(content)
         out = tmp_path / "out"
         proc = run_cli(input_argv(command, flag, str(bad), input_files, str(out)))
         assert proc.returncode == 1, proc.stderr
-        assert str(bad) in proc.stderr
+        assert named.format(path=bad) in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", INPUT_FLAGS)
+    def test_exits_1_naming_file(self, tmp_path, input_files, command, flag):
+        self.check_exit_1(tmp_path, input_files, command, flag,
+                          b"\xff\xfe{\x00}\x00", "{path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("content", MALFORMED_JSON)
+    @pytest.mark.parametrize("command,flag", INPUT_FLAGS)
+    def test_malformed_json_exits_1_naming_line(self, tmp_path, input_files,
+                                                command, flag, content):
+        document = MALFORMED_JSON[content]
+        if flag in ("--config", "--checkpoint"):
+            self.check_exit_1(tmp_path, input_files, command, flag, document,
+                              "{path}: invalid JSON")
+        else:  # a JSONL file, the document on the line after its header
+            self.check_exit_1(tmp_path, input_files, command, flag,
+                              b'{"meta": {"vocab_size": 3}}\n' + document,
+                              "{path} line 2: invalid JSON")
 
 
 # small JSON values: scalars (NaN and infinities included, as json writes
@@ -635,6 +697,8 @@ class TestFuzzInputs:
     ])
     @settings(max_examples=60)
     @given(content=input_bytes)
+    @example(content=MALFORMED_JSON["deep"])
+    @example(content=MALFORMED_JSON["huge-int"])
     def test_exit_code_0_or_1(self, workdir, input_files, command, flag, content):
         path = workdir / "fuzz.bin"
         path.write_bytes(content)
@@ -659,6 +723,19 @@ class TestPipeline:
         doc = json.loads((wd / "report.json").read_text())
         assert doc["seeds"] == 2 and len(doc["per_seed"]) == 2
         assert set(doc["aggregate"]) == {"otd", "rmse_x", "rmse_y", "smape"}
+
+    def test_config_read_once(self, tmp_path, config_path, monkeypatch):
+        # main reads --config once; every stage of every seed uses that copy
+        reads = []
+        read_text = cli.read_text
+        monkeypatch.setattr(cli, "read_text",
+                            lambda path: reads.append(path) or read_text(path))
+        rc = main(["pipeline", "--workdir", str(tmp_path / "run"), "--seeds", "2",
+                   "--config", config_path, "--num-seqs", "6", "--eval-seqs", "3",
+                   "--length", "12", "--horizon", "4", "--epochs", "1",
+                   "--batch-size", "4", "--steps", "1"])
+        assert rc == 0
+        assert reads.count(config_path) == 1
 
     def test_bad_seed_count(self, tmp_path):
         assert main(["pipeline", "--workdir", str(tmp_path / "w"),
@@ -720,3 +797,29 @@ class TestReadmeConfig:
         assert set(doc) == {"seed", *cli._SECTIONS}
         for name, types in cli._SECTIONS.items():
             assert set(doc[name]) == set(types), name
+
+
+CONFIGS = (SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
+           EvaluateConfig)
+FLOAT_FIELDS = [(cls, key, kind) for cls in CONFIGS
+                for key, kind in cls.field_types.items()
+                if kind in (float, tuple[float, ...])]
+
+
+class TestNonFiniteConfig:
+    """Every number field of the six config sections, and every item of a
+    list of numbers, rejects NaN and the infinities naming section.key,
+    both from a config-file section and from the constructor."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls,key,kind", FLOAT_FIELDS,
+                             ids=[f"{c.section}.{k}" for c, k, _ in FLOAT_FIELDS])
+    def test_rejected(self, cls, key, kind, bad):
+        value = bad if kind is float else (bad,)
+        required = {"vocab_size": 2} if cls is ModelConfig else {}
+        named = re.escape(f"{cls.section}.{key} must be a finite number")
+        with pytest.raises(ValidationError, match=named):
+            cls.from_dict({**required, key: value})
+        with pytest.raises(ValidationError, match=named):
+            cls(**required, **{key: value})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestJsonl:
         path = tmp_path / "d.jsonl"
         path.write_text('{"meta":{"vocab_size":2}}\n{not json\n')
         with pytest.raises(ValidationError, match="line 2"):
+            load_jsonl(path)
+
+    def test_errors_and_warnings_name_file_and_line(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"vocab_size":2}}\n{"dts":[-1.0],"marks":[0]}\n')
+        with caplog.at_level("WARNING"):
+            assert load_jsonl(path) == []
+        rejected = [r.message for r in caplog.records if "rejected" in r.message]
+        assert rejected[0].startswith(f"{path} line 2 rejected:")
+        path.write_text('{"meta":{"vocab_size":2}}\n\n[1, 2]\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{path} line 3: expected")):
             load_jsonl(path)
 
     def test_domain_violation_skips_line(self, tmp_path, caplog):

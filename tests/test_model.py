@@ -690,6 +690,9 @@ class TestModelCheckpoint:
         ({"version": 2, "config": [], "params": {}}, "missing config object"),
         ({"version": 2, "config": {"model": "x"}, "params": {}},
          "'model' must be an object"),
+        # the model section is config["model"], never the config itself
+        ({"version": 2, "config": {"vocab_size": 3}, "params": {}},
+         "'model' must be an object"),
     ])
     def test_malformed_document_rejected(self, tmp_path, doc, named):
         path = tmp_path / "bad.json"
