@@ -17,7 +17,6 @@ from .model import (
     TrainConfig,
     corrupt_mark,
     estimate_lambda,
-    estimate_pi0,
     interpolate_time,
     train,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ValidationError",
     "corrupt_mark",
     "estimate_lambda",
-    "estimate_pi0",
     "evaluate_windows",
     "generate",
     "interpolate_time",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (Config, NumericalError, ValidationError, check_section,
-                     check_value, parse_json, read_text)
+                     check_seed, parse_json, read_text)
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     HIST_BINS,
@@ -108,7 +108,7 @@ class SimulateConfig(Config, section="simulate"):
 
 
 # keys and value types of each config-file section, one Config class each; a
-# config file may hold only these and a top-level integer "seed"
+# config file may hold only these and a top-level "seed", an integer >= 0
 _SECTIONS = {cls.section: cls.field_types for cls in (
     SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
     EvaluateConfig)}
@@ -144,7 +144,7 @@ def _load_config(path) -> dict:
     unknown = sorted(set(doc) - {"seed", *_SECTIONS})
     if unknown:
         raise ValidationError(f"unknown config sections: {unknown}")
-    config = {"seed": check_value("seed", doc.get("seed", 0), int)}
+    config = {"seed": check_seed("seed", doc.get("seed", 0))}
     for name, types in _SECTIONS.items():
         config[name] = check_section(name, doc.get(name, {}), types)
     return config
@@ -157,6 +157,11 @@ def _section(config: dict, name: str, args) -> dict:
     flags = (*seed, *_FLAGS[args.command].get(name, ()))
     return {**seed, **config[name], **{key: getattr(args, key) for key in flags
                                        if getattr(args, key) is not None}}
+
+
+def _seed(args, config: dict) -> int:
+    """The run's seed: --seed, else the config file's top-level seed."""
+    return config["seed"] if args.seed is None else check_seed("seed", args.seed)
 
 
 def _windows(path, horizon: int, vocab_size=None) -> list:
@@ -264,7 +269,7 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_hist(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config["seed"]
+    seed = _seed(args, config)
     sequences = load_jsonl(args.data)
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
@@ -288,7 +293,7 @@ def cmd_pipeline(args, config: dict) -> int:
         raise ValidationError(
             f"pipeline derives every stage's seed from --seed or the top-level "
             f"seed; remove {', '.join(own_seeds)}")
-    seed = args.seed if args.seed is not None else config["seed"]
+    seed = _seed(args, config)
     k = int(args.seeds)
     if k < 1:
         raise ValidationError(f"--seeds must be >= 1, got {k}")

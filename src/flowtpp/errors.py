@@ -65,6 +65,15 @@ def check_value(name: str, value, kind):
         f"{name} must be {'an' if kind is int else 'a'} {what}, got {value!r}")
 
 
+def check_seed(name: str, value) -> int:
+    """value as a seed, an integer >= 0 (numpy's generators take no negative
+    seed), else ValidationError naming name."""
+    seed = check_value(name, value, int)
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def check_section(section: str, data, types: dict) -> dict:
     """One config section, its keys all in types, its values check_value'd."""
     if not isinstance(data, dict):
@@ -82,7 +91,8 @@ class Config:
     """Base of the frozen config dataclasses, one per config-file section
     (the class keyword section); field_types maps each field to its
     annotation. Making one converts each field by check_value against its
-    annotation, then runs the subclass's validate()."""
+    annotation, checks a seed field by check_seed, then runs the subclass's
+    validate()."""
 
     def __init_subclass__(cls, section: str, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -95,6 +105,8 @@ class Config:
             if type(value) is not kind or kind is float and not math.isfinite(value):
                 value = check_value(f"{self.section}.{name}", value, kind)
                 object.__setattr__(self, name, value)
+        if "seed" in self.field_types:
+            check_seed(f"{self.section}.seed", self.seed)
         self.validate()
 
     @classmethod

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,9 @@ from .events import EventSequence, ForecastWindow
 from .synthgen import _TINY_DT, categorical_rows
 
 log = logging.getLogger(__name__)
+
+# floor of the context rate estimate_lambda returns
+LAMBDA_MIN = 1e-6
 
 # parameters of the context encoder, the parents of encode_contexts' node
 ENCODER_PARAMS = ("mark_embed.table", "time_embed.0.W", "time_embed.0.b",
@@ -52,10 +57,6 @@ class ModelConfig(Config, section="model"):
     vf_hidden: tuple[int, ...] = (128, 128)
     head_hidden: tuple[int, ...] = (128, 128)
     alpha: float = 1.0
-    rate_mode: str = "context"
-    manual_rate: float = 1.0
-    pi0_mode: str = "uniform"
-    lambda_min: float = 1e-6
 
     def validate(self):
         for key in ("vocab_size", "horizon", "d", "mark_embed_dim",
@@ -66,13 +67,6 @@ class ModelConfig(Config, section="model"):
                          "all >= 1")
         self.require(self.t_embed_dim % 2 == 0, "t_embed_dim", "even (sin/cos pairs)")
         self.require(self.alpha >= 0, "alpha", ">= 0")
-        self.require(self.rate_mode in ("context", "manual"), "rate_mode",
-                     "'context' or 'manual'")
-        self.require(self.pi0_mode in ("uniform", "context"), "pi0_mode",
-                     "'uniform' or 'context'")
-        self.require(self.rate_mode != "manual" or self.manual_rate > 0,
-                     "manual_rate", "> 0 when rate_mode is 'manual'")
-        self.require(self.lambda_min > 0, "lambda_min", "> 0")
 
     @property
     def input_dim(self) -> int:
@@ -109,17 +103,11 @@ def corrupt_mark(y1, t, y0, rng: np.random.Generator) -> np.ndarray:
     return np.where(keep, y1, y0)
 
 
-def estimate_lambda(context: EventSequence, lambda_min: float) -> float:
-    """Reciprocal of the mean context inter-event time, floored at lambda_min."""
+def estimate_lambda(context: EventSequence) -> float:
+    """Reciprocal of the mean context inter-event time, floored at LAMBDA_MIN."""
     if len(context) < 1:
         raise ValidationError("cannot estimate a rate from an empty context")
-    return max(1.0 / float(np.mean(context.inter_times)), lambda_min)
-
-
-def estimate_pi0(context: EventSequence, vocab_size: int) -> np.ndarray:
-    """Laplace-smoothed empirical mark frequencies (pseudo-count 1)."""
-    counts = np.bincount(context.marks, minlength=vocab_size).astype(np.float64)
-    return (counts + 1.0) / (len(context) + vocab_size)
+    return max(1.0 / float(np.mean(context.inter_times)), LAMBDA_MIN)
 
 
 class Model:
@@ -132,34 +120,36 @@ class Model:
         self._build(rng)
 
     def _build(self, rng):
+        """Every parameter, in a fixed order: weights drawn from N(0, 1/fan_in)
+        by rng (zeros when rng is None), biases zero. Sizes whose values and
+        two Adam moments would not fit in the machine's memory are a
+        ValidationError naming them, raised before anything is allocated."""
         cfg = self.config
-
-        def normal(shape, scale):
-            if rng is None:
-                return np.zeros(shape)
-            return rng.normal(0.0, scale, size=shape)
+        layout = [("mark_embed.table", (cfg.vocab_size, cfg.mark_embed_dim), 1)]
 
         def add_affine(prefix, sizes):
-            for i in range(len(sizes) - 1):
-                fan_in, fan_out = sizes[i], sizes[i + 1]
-                self.store.add(f"{prefix}.{i}.W",
-                               normal((fan_in, fan_out), 1.0 / np.sqrt(fan_in)))
-                self.store.add(f"{prefix}.{i}.b", np.zeros(fan_out))
+            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+                layout.append((f"{prefix}.{i}.W", (fan_in, fan_out), fan_in))
+                layout.append((f"{prefix}.{i}.b", (fan_out,), None))
 
-        self.store.add("mark_embed.table",
-                       normal((cfg.vocab_size, cfg.mark_embed_dim), 1.0))
         add_affine("time_embed", [1, cfg.time_embed_dim])
         gru_in = cfg.mark_embed_dim + cfg.time_embed_dim
         for gate in ("z", "r", "h"):
-            self.store.add(f"enc.W{gate}",
-                           normal((gru_in, cfg.d), 1.0 / np.sqrt(gru_in)))
-            self.store.add(f"enc.U{gate}",
-                           normal((cfg.d, cfg.d), 1.0 / np.sqrt(cfg.d)))
-            self.store.add(f"enc.b{gate}", np.zeros(cfg.d))
+            layout.append((f"enc.W{gate}", (gru_in, cfg.d), gru_in))
+            layout.append((f"enc.U{gate}", (cfg.d, cfg.d), cfg.d))
+            layout.append((f"enc.b{gate}", (cfg.d,), None))
         self._vf_sizes = [cfg.input_dim, *cfg.vf_hidden, 1]
         self._head_sizes = [cfg.input_dim, *cfg.head_hidden, cfg.vocab_size]
         add_affine("vf", self._vf_sizes)
         add_affine("head", self._head_sizes)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 3 * 8 * sum(math.prod(shape) for _, shape, _ in layout) > memory:
+            sizes = ", ".join(f"model.{key}={value}" for key, value in cfg.to_dict().items()
+                              if key not in ("horizon", "alpha"))
+            raise ValidationError(f"model too large to allocate: {sizes}")
+        for path, shape, fan_in in layout:
+            self.store.add(path, np.zeros(shape) if rng is None or fan_in is None
+                           else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
 
     # ---- context encoding -------------------------------------------------
 
@@ -302,17 +292,14 @@ class Model:
 
     def draw_noise(self, context: EventSequence, length: int,
                    rng: np.random.Generator, floor: float) -> tuple:
-        """Source noise for length events after context, under the model's
-        rate and base-mark policy: x0 ~ Exp(rate) floored at floor, then
-        y0 ~ Cat(pi0). Training and sampling both start the flow here."""
-        cfg = self.config
-        rate = (cfg.manual_rate if cfg.rate_mode == "manual"
-                else estimate_lambda(context, cfg.lambda_min))
-        m = cfg.vocab_size
-        pi0 = (np.full(m, 1.0 / m) if cfg.pi0_mode == "uniform"
-               else estimate_pi0(context, m))
-        x0 = np.maximum(rng.exponential(1.0 / rate, size=length), floor)
-        return x0, categorical_rows(np.broadcast_to(pi0, (length, m)), rng)
+        """Source noise for length events after context: x0 ~ Exp(rate)
+        with the context's rate (estimate_lambda), floored at floor, then
+        y0 uniform over the marks. Training and sampling both start the flow
+        here."""
+        x0 = np.maximum(rng.exponential(1.0 / estimate_lambda(context), size=length),
+                        floor)
+        m = self.config.vocab_size
+        return x0, categorical_rows(np.full((length, m), 1.0 / m), rng)
 
     # ---- networks: plain arrays, no tape --------------------------------------
     #
@@ -504,18 +491,12 @@ class TrainConfig(Config, section="train"):
     epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
     seed: int = 0
 
     def validate(self):
         self.require(self.epochs >= 0, "epochs", ">= 0")
         self.require(self.batch_size >= 1, "batch_size", ">= 1")
         self.require(self.lr > 0, "lr", "> 0")
-        for key in ("beta1", "beta2"):
-            self.require(0 <= getattr(self, key) < 1, key, "in [0, 1)")
-        self.require(self.eps_opt > 0, "eps_opt", "> 0")
 
 
 def train(model: Model, windows, cfg: TrainConfig) -> list:
@@ -544,7 +525,7 @@ def train(model: Model, windows, cfg: TrainConfig) -> list:
                 batch = model.build_flow_batch(batch_windows, rng)
                 total, l_time, l_mark = model.loss_total(batch, h_c)
                 nn.backward(total)
-                nn.adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_opt)
+                nn.adam_step(model.store, cfg.lr)
             except NumericalError as exc:
                 norms = {
                     path: float(np.linalg.norm(t.data))

@@ -24,7 +24,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, parse_json, read_text
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# Adam's moment decay rates and the denominator guard
+BETA1, BETA2, EPS_OPT = 0.9, 0.999, 1e-8
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -338,8 +341,7 @@ def gru_step(params: ParamStore, input, hidden, prefix: str = "gru") -> Tensor:
     return (one - z) * h + z * n
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps_opt: float = 1e-8):
+def adam_step(store: ParamStore, lr: float):
     """Bias-corrected Adam update in place; grads are zeroed afterwards."""
     for path, t in store.params.items():
         if t.grad is None:
@@ -352,13 +354,13 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
         g = tensor.grad
         m = store.moment1[path]
         v = store.moment2[path]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t_step)
-        v_hat = v / (1.0 - beta2 ** t_step)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps_opt)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t_step)
+        v_hat = v / (1.0 - BETA2 ** t_step)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS_OPT)
         if not np.isfinite(tensor.data).all():
             raise NumericalError(f"non-finite value in parameter {path!r} after update")
     store.zero_grads()

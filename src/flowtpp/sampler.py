@@ -24,24 +24,21 @@ from .synthgen import categorical_rows
 INVARIANT_COUNTS = {"checks": 0, "violations": 0}
 
 _T_SINGULARITY = 1e-9
+EPS_TIME = 1e-6  # floor of every sampled inter-event time
+EPS_PROB = 1e-5  # floor of each mark's redraw probability before normalizing
+CHUNK_SIZE = 256  # windows integrated together; output does not depend on it
 
 
 @dataclass(frozen=True)
 class SamplerConfig(Config, section="sampler"):
-    """Integration settings. The noise policy (rate and base mark
-    distribution) is the model's own, saved with its checkpoint."""
+    """Integration settings: S midpoint steps, and the seed of the
+    per-window streams. The noise is Model.draw_noise's."""
 
     steps: int = 8
-    eps_time: float = 1e-6
-    eps_prob: float = 1e-5
     seed: int = 0
-    chunk_size: int = 256
 
     def validate(self):
         self.require(self.steps >= 1, "steps", ">= 1")
-        self.require(self.eps_time > 0, "eps_time", "> 0")
-        self.require(self.eps_prob > 0, "eps_prob", "> 0")
-        self.require(self.chunk_size >= 1, "chunk_size", ">= 1")
 
     @property
     def h(self) -> float:
@@ -53,8 +50,7 @@ def _check_finite(values: np.ndarray, t: float, what: str):
         raise NumericalError(f"non-finite {what} at flow time t={t:.6f}")
 
 
-def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
-               eps_prob: float) -> np.ndarray:
+def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float) -> np.ndarray:
     """Clamped simplex-velocity update; returns the normalized redraw
     distribution per row.
 
@@ -69,7 +65,7 @@ def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float,
         onehot = np.zeros_like(p_t)
         onehot[np.arange(p_t.shape[0]), y] = 1.0
         u = (p_t - onehot) / (1.0 - t)
-        p_new = np.maximum(onehot + h * u, eps_prob)
+        p_new = np.maximum(onehot + h * u, EPS_PROB)
     return p_new / p_new.sum(axis=1, keepdims=True)
 
 
@@ -79,7 +75,7 @@ def flow_step(model, x, y, t: float, proj_rows, streams,
 
     One full evaluation at (x, y, t) gives the field and the mark logits; a
     vector-field-only evaluation at the midpoint gives the time update,
-    projected onto [eps_time, inf). Marks are redrawn from the pre-midpoint
+    projected onto [EPS_TIME, inf). Marks are redrawn from the pre-midpoint
     logits, rows [lo, hi) from generator rng for each (lo, hi, rng) in
     streams. Both evaluations are Model.predict, which builds no tape.
     """
@@ -87,15 +83,15 @@ def flow_step(model, x, y, t: float, proj_rows, streams,
     v0, logits = model.predict(x, y, t, proj_rows)
     _check_finite(v0, t, "vector field")
     _check_finite(logits, t, "mark logits")
-    x_mid = np.maximum(x + 0.5 * h * v0, config.eps_time)
+    x_mid = np.maximum(x + 0.5 * h * v0, EPS_TIME)
     v_mid, _ = model.predict(x_mid, y, t + 0.5 * h, proj_rows, marks=False)
     _check_finite(v_mid, t + 0.5 * h, "vector field")
-    x = np.maximum(x + h * v_mid, config.eps_time)
+    x = np.maximum(x + h * v_mid, EPS_TIME)
 
-    p_new = mark_probs(logits, y, t, h, config.eps_prob)
+    p_new = mark_probs(logits, y, t, h)
     y = np.concatenate([categorical_rows(p_new[lo:hi], rng) for lo, hi, rng in streams])
 
-    x_ok = bool((x >= config.eps_time).all())
+    x_ok = bool((x >= EPS_TIME).all())
     p_ok = bool(
         np.all(np.abs(p_new.sum(axis=1) - 1.0) < 1e-12)
         and np.all(p_new >= 0)
@@ -103,7 +99,7 @@ def flow_step(model, x, y, t: float, proj_rows, streams,
     y_ok = bool(((y >= 0) & (y < logits.shape[1])).all())
     INVARIANT_COUNTS["checks"] += 3
     INVARIANT_COUNTS["violations"] += (not x_ok) + (not p_ok) + (not y_ok)
-    assert x_ok, "positivity violated: inter-time below eps_time"
+    assert x_ok, "positivity violated: inter-time below EPS_TIME"
     assert p_ok, "simplex violated: redraw distribution not normalized"
     assert y_ok, "mark out of range after redraw"
     return x, y
@@ -114,7 +110,7 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
 
     Per window w (global index i): the context term of the networks is
     projected once (Model.project_contexts); source noise from
-    Model.draw_noise on stream [seed, 3, i], floored at eps_time; then S
+    Model.draw_noise on stream [seed, 3, i], floored at EPS_TIME; then S
     flow_steps on the same stream.
     """
     if not windows:
@@ -126,15 +122,15 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
                 f"window vocab_size {w.vocab_size} != checkpoint {m}"
             )
     out = []
-    for chunk_start in range(0, len(windows), config.chunk_size):
-        chunk = windows[chunk_start : chunk_start + config.chunk_size]
+    for chunk_start in range(0, len(windows), CHUNK_SIZE):
+        chunk = windows[chunk_start : chunk_start + CHUNK_SIZE]
         proj = model.project_contexts([w.context for w in chunk])
         horizons = [w.horizon for w in chunk]
         rngs = [
             np.random.default_rng([config.seed, 3, chunk_start + j])
             for j in range(len(chunk))
         ]
-        xs, ys = zip(*(model.draw_noise(w.context, w.horizon, rng, config.eps_time)
+        xs, ys = zip(*(model.draw_noise(w.context, w.horizon, rng, EPS_TIME)
                        for w, rng in zip(chunk, rngs)))
         x, y = np.concatenate(xs), np.concatenate(ys)
         proj_rows = np.repeat(proj, horizons, axis=0)

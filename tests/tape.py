@@ -13,7 +13,7 @@ import numpy as np
 from flowtpp import nn
 from flowtpp.errors import ValidationError
 from flowtpp.model import sinusoidal_features
-from flowtpp.sampler import mark_probs
+from flowtpp.sampler import EPS_TIME, mark_probs
 from flowtpp.synthgen import categorical_rows
 
 # ---- ops ------------------------------------------------------------------
@@ -147,15 +147,15 @@ def reference_generate(model, windows, cfg):
     out = []
     for i, w in enumerate(windows):
         rng = np.random.default_rng([cfg.seed, 3, i])
-        x, y = model.draw_noise(w.context, w.horizon, rng, cfg.eps_time)
+        x, y = model.draw_noise(w.context, w.horizon, rng, EPS_TIME)
         h_rows = h_c.take_rows(np.full(w.horizon, i))
         t = 0.0
         for _ in range(cfg.steps):
             v0, logits = forward(model, x, y, t, h_rows)
-            x_mid = np.maximum(x + 0.5 * cfg.h * v0.data.ravel(), cfg.eps_time)
+            x_mid = np.maximum(x + 0.5 * cfg.h * v0.data.ravel(), EPS_TIME)
             v_mid, _ = forward(model, x_mid, y, t + 0.5 * cfg.h, h_rows)
-            x = np.maximum(x + cfg.h * v_mid.data.ravel(), cfg.eps_time)
-            p_new = mark_probs(logits.data, y, t, cfg.h, cfg.eps_prob)
+            x = np.maximum(x + cfg.h * v_mid.data.ravel(), EPS_TIME)
+            p_new = mark_probs(logits.data, y, t, cfg.h)
             y = categorical_rows(p_new, rng)
             t += cfg.h
         out.append((x, y))

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowtpp
-from flowtpp import (Model, ModelConfig, SamplerConfig, generate, load_jsonl,
-                     make_windows)
+from flowtpp import Model, ModelConfig, SamplerConfig, load_jsonl
 from flowtpp import cli
 from flowtpp.cli import SimulateConfig, main
 from flowtpp.errors import ValidationError
@@ -123,10 +122,11 @@ class TestTrain:
 
     def test_checkpoint_document(self, checkpoint):
         doc = json.loads(open(checkpoint).read())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["config"]["seed"] == 5
         assert doc["config"]["model"]["vocab_size"] == 3
-        assert doc["config"]["train"]["epochs"] == 2
+        assert doc["config"]["train"] == {"epochs": 2, "batch_size": 4,
+                                          "lr": 1e-3, "seed": 5}
         entry = doc["params"]["vf.0.b"]
         assert entry["shape"] == [8] and isinstance(entry["data"], str)
         assert len(base64.b64decode(entry["data"], validate=True)) == 8 * 8
@@ -161,7 +161,11 @@ class TestMalformedModelSection:
         ({"dd": 4}, "['dd']"),
         ({"vf_hidden": 5}, "vf_hidden must be a list of integers"),
         ({"d": "abc"}, "d must be an integer"),
-    ], ids=["unknown-key", "hidden-not-list", "size-not-integer"])
+        # sizes past numpy's largest dimension, and past any memory
+        ({"d": 10**30}, f"too large to allocate: model.vocab_size=3, model.d={10**30}"),
+        ({"d": 10**6}, "too large to allocate: model.vocab_size=3, model.d=1000000"),
+    ], ids=["unknown-key", "hidden-not-list", "size-not-integer", "d-past-dimension",
+            "d-past-memory"])
     def test_exits_1_naming_key(self, tmp_path, data_path, section, named):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": section}))
@@ -176,6 +180,14 @@ class TestMalformedModelSection:
         assert named in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.json").exists()
+
+
+# the settings that are module constants now, at their last default values
+REMOVED_KEYS = {"model.rate_mode": "context", "model.manual_rate": 1.0,
+                "model.pi0_mode": "uniform", "model.lambda_min": 1e-6,
+                "sampler.eps_time": 1e-6, "sampler.eps_prob": 1e-5,
+                "sampler.chunk_size": 256, "train.beta1": 0.9, "train.beta2": 0.999,
+                "train.eps_opt": 1e-8}
 
 
 def run_cli(argv):
@@ -237,12 +249,9 @@ class TestMalformedConfig:
         ("simulate", {"simulate": {"vocab_size": 0}},
          "simulate.vocab_size must be >= 1"),
         ("train-missing-data", {"model": {"d": 0}}, "model.d must be >= 1"),
-        # config numbers are finite, and Adam's are in range
+        # config numbers are finite
         ("evaluate-delete-cost-inf", {},
          "otd.delete_cost must be a finite number, got inf"),
-        ("sample", {"sampler": {"eps_prob": float("inf")}},
-         "sampler.eps_prob must be a finite number, got inf"),
-        ("train", {"train": {"beta1": 2.0}}, "train.beta1 must be in [0, 1)"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -275,6 +284,23 @@ class TestMalformedConfig:
         proc = run_cli([*argv, "--config", str(cfg)])
         assert proc.returncode == 1, proc.stderr
         assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", REMOVED_KEYS.items(), ids=list(REMOVED_KEYS))
+    def test_removed_key_exits_1(self, tmp_path, data_path, checkpoint, key, value):
+        # settings that became constants are unknown keys, even at their
+        # old default values
+        section, name = key.split(".")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {name: value}}))
+        out = tmp_path / "out"
+        argv = (["sample", "--checkpoint", checkpoint] if section == "sampler"
+                else ["train", "--epochs", "1", "--horizon", "4"])
+        proc = run_cli([*argv, "--data", data_path, "--out", str(out),
+                        "--config", str(cfg)])
+        assert proc.returncode == 1, proc.stderr
+        assert f"unknown {section} config keys: ['{name}'] ({key})" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -357,20 +383,28 @@ class TestMalformedCheckpoint:
 
     def test_version_1_exits_1_asking_to_retrain(self, tmp_path, checkpoint,
                                                  data_path):
+        # version 1 stored data as lists of numbers; version 2 as today, plus
+        # the noise policy in model and Adam's constants in train
         doc = json.loads(open(checkpoint).read())
-        doc["version"] = 1
-        doc["params"] = {path: {**e, "data": values_of(e).tolist()}
-                         for path, e in doc["params"].items()}
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps(doc, sort_keys=True))
-        out = tmp_path / "pred.jsonl"
-        proc = run_cli(["sample", "--checkpoint", str(old), "--data", data_path,
-                        "--out", str(out)])
-        assert proc.returncode == 1, proc.stderr
-        assert "unsupported version 1" in proc.stderr
-        assert "retrain" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not out.exists()
+        v1 = dict(doc, version=1, params={path: {**e, "data": values_of(e).tolist()}
+                                          for path, e in doc["params"].items()})
+        v2 = dict(doc, version=2, config={
+            **doc["config"],
+            "model": {**doc["config"]["model"], "rate_mode": "context",
+                      "manual_rate": 1.0, "pi0_mode": "uniform", "lambda_min": 1e-6},
+            "train": {**doc["config"]["train"], "beta1": 0.9, "beta2": 0.999,
+                      "eps_opt": 1e-8}})
+        for version, old_doc in ((1, v1), (2, v2)):
+            old = tmp_path / f"v{version}.json"
+            old.write_text(json.dumps(old_doc, sort_keys=True))
+            out = tmp_path / "pred.jsonl"
+            proc = run_cli(["sample", "--checkpoint", str(old), "--data", data_path,
+                            "--out", str(out)])
+            assert proc.returncode == 1, proc.stderr
+            assert (f"unsupported version {version}; retrain to write version 3"
+                    in proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert not out.exists()
 
 
 class TestSample:
@@ -406,67 +440,29 @@ class TestSample:
         assert len(truths) == 8 and all(len(t) == 4 for t in truths)
 
 
-@pytest.fixture(scope="module")
-def context_checkpoint(workdir, data_path):
-    """A model trained with mark noise drawn from the context's mark
-    frequencies rather than uniformly."""
-    cfg = workdir / "context_pi0.json"
-    cfg.write_text(json.dumps({"model": dict(SMALL_MODEL, pi0_mode="context")}))
-    path = workdir / "context_model.json"
-    rc = main(["train", "--data", data_path, "--out", str(path),
-               "--config", str(cfg), "--epochs", "2", "--batch-size", "4",
-               "--horizon", "4", "--seed", "5"])
-    assert rc == 0
-    return str(path)
-
-
 class TestSampleNoisePolicy:
-    """Sampling draws its noise by the checkpoint's policy; the sampler
-    config section has no policy keys."""
+    """Sampling draws its noise as training does (Model.draw_noise); the
+    sampler config section has no policy keys."""
 
-    def sample(self, out, checkpoint, data_path, config=None, tmp_path=None):
-        argv = ["sample", "--checkpoint", checkpoint, "--data", data_path,
-                "--out", str(out), "--steps", "2", "--seed", "5"]
-        if config is not None:
-            path = tmp_path / "sampler.json"
-            path.write_text(json.dumps({"sampler": config}))
-            argv += ["--config", str(path)]
-        return main(argv)
+    def sample(self, out, checkpoint, data_path, config, tmp_path):
+        path = tmp_path / "sampler.json"
+        path.write_text(json.dumps({"sampler": config}))
+        return main(["sample", "--checkpoint", checkpoint, "--data", data_path,
+                     "--out", str(out), "--steps", "2", "--seed", "5",
+                     "--config", str(path)])
 
-    def test_context_pi0_checkpoint_samples_with_context_pi0(
-            self, tmp_path, context_checkpoint, data_path):
-        out = tmp_path / "pred.jsonl"
-        assert self.sample(out, context_checkpoint, data_path) == 0
-        model = Model.from_checkpoint(context_checkpoint)
-        assert model.config.pi0_mode == "context"
-        windows = make_windows(load_jsonl(data_path), 4)
-        cfg = SamplerConfig(steps=2, seed=5)
-        want = generate(model, windows, cfg)
-        uniform = Model(ModelConfig.from_dict(
-            dict(model.config.to_dict(), pi0_mode="uniform")), init=False)
-        uniform.store.load_state(model.store.state_dict())
-        other = generate(uniform, windows, cfg)
-        preds = load_jsonl(out)
-        assert len(preds) == len(want)
-        for p, (x, y) in zip(preds, want):
-            np.testing.assert_array_equal(p.inter_times, x)
-            np.testing.assert_array_equal(p.marks, y)
-        # the policy shows in the output: uniform mark noise samples otherwise
-        assert any(not np.array_equal(p.inter_times, x)
-                   for p, (x, _) in zip(preds, other))
-
-    def test_conflicting_sampler_key_fails(self, tmp_path, context_checkpoint,
+    def test_conflicting_sampler_key_fails(self, tmp_path, checkpoint,
                                            data_path, capsys):
-        rc = self.sample(tmp_path / "pred.jsonl", context_checkpoint, data_path,
-                         {"pi0_mode": "uniform"}, tmp_path)
+        rc = self.sample(tmp_path / "pred.jsonl", checkpoint, data_path,
+                         {"pi0_mode": "context"}, tmp_path)
         assert rc == 1
         assert "sampler.pi0_mode" in capsys.readouterr().err
         assert not (tmp_path / "pred.jsonl").exists()
 
-    def test_agreeing_sampler_keys_fail(self, tmp_path, context_checkpoint,
+    def test_agreeing_sampler_keys_fail(self, tmp_path, checkpoint,
                                         data_path, capsys):
-        agree = {"pi0_mode": "context", "rate_mode": "context", "manual_rate": 1.0}
-        rc = self.sample(tmp_path / "pred.jsonl", context_checkpoint, data_path,
+        agree = {"pi0_mode": "uniform", "rate_mode": "context", "manual_rate": 1.0}
+        rc = self.sample(tmp_path / "pred.jsonl", checkpoint, data_path,
                          agree, tmp_path)
         assert rc == 1
         err = capsys.readouterr().err
@@ -780,6 +776,52 @@ class TestPipeline:
         assert not wd.exists()
 
 
+def negative_seed_cases():
+    """(command, source of the seed, what stderr names): a command whose
+    section has a seed checks --seed there; hist and pipeline check it
+    themselves, and pipeline takes no section seed at all."""
+    sections = {"simulate": "simulate", "train": "train", "sample": "sampler",
+                "evaluate": "evaluate", "hist": None, "pipeline": None}
+    for command, section in sections.items():
+        key = f"{section}.seed" if section else "seed"
+        yield command, "flag", f"error: {key} must be >= 0, got -3"
+        yield command, "top-level", "error: seed must be >= 0, got -3"
+        if section:
+            yield command, "section", f"error: {key} must be >= 0, got -3"
+    yield "pipeline", "section", "remove simulate.seed"
+
+
+class TestNegativeSeed:
+    """A seed below 0, from --seed, the top-level seed or a section seed,
+    exits 1 naming the key before any file or workdir is written."""
+
+    @pytest.mark.parametrize("command,source,named", negative_seed_cases())
+    def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
+                                command, source, named, capsys):
+        out, pred, truth = tmp_path / "out", *pred_truth
+        argv = {
+            "simulate": ["--out", str(out)],
+            "train": ["--data", data_path, "--out", str(out), "--epochs", "1",
+                      "--horizon", "4"],
+            "sample": ["--checkpoint", checkpoint, "--data", data_path,
+                       "--out", str(out)],
+            "evaluate": ["--pred", pred, "--truth", truth, "--out", str(out)],
+            "hist": ["--data", data_path, "--out-times", str(out),
+                     "--out-marks", str(out)],
+            "pipeline": ["--workdir", str(out), "--num-seqs", "4", "--eval-seqs",
+                         "2", "--length", "8", "--horizon", "4", "--epochs", "1"],
+        }[command]
+        section = {"sample": "sampler", "pipeline": "simulate"}.get(command, command)
+        config = {"flag": {}, "top-level": {"seed": -3},
+                  "section": {section: {"seed": -3}}}[source]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        flag = ["--seed", "-3"] if source == "flag" else []
+        assert main([command, *argv, "--config", str(cfg), *flag]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReadmeConfig:
     """README's "Config file" block, its // comments stripped, is a config
     the CLI accepts, and it documents every section and key the CLI takes."""
@@ -797,6 +839,11 @@ class TestReadmeConfig:
         assert set(doc) == {"seed", *cli._SECTIONS}
         for name, types in cli._SECTIONS.items():
             assert set(doc[name]) == set(types), name
+        # every documented value is the default
+        assert doc["seed"] == 0
+        for cls in CONFIGS:
+            default = cls(vocab_size=3) if cls is ModelConfig else cls()
+            assert cls.from_dict(doc[cls.section]) == default, cls.section
 
 
 CONFIGS = (SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,

@@ -15,14 +15,13 @@ from flowtpp import (
     ValidationError,
     corrupt_mark,
     estimate_lambda,
-    estimate_pi0,
     interpolate_time,
     make_windows,
     simulate_poisson,
     train,
 )
 from flowtpp import nn
-from flowtpp.model import ENCODER_PARAMS, FlowSample
+from flowtpp.model import ENCODER_PARAMS, LAMBDA_MIN, FlowSample
 from flowtpp.synthgen import _TINY_DT, categorical_rows
 from tape import forward, tape_encode_contexts, tape_loss_total
 
@@ -56,10 +55,10 @@ class TestModelConfig:
             tiny_config(d=0)
         with pytest.raises(ValidationError):
             tiny_config(t_embed_dim=5)
-        with pytest.raises(ValidationError):
-            tiny_config(rate_mode="fixed")
-        with pytest.raises(ValidationError):
-            tiny_config(pi0_mode="learned")
+        # the noise policy is fixed: context rate, uniform marks
+        for key in ("rate_mode", "manual_rate", "pi0_mode", "lambda_min"):
+            with pytest.raises(TypeError):
+                tiny_config(**{key: 1})
 
     def test_dict_roundtrip(self):
         cfg = tiny_config(alpha=0.5, vf_hidden=(16, 8))
@@ -73,7 +72,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("key,value", [
         ("d", "abc"), ("d", 2.5), ("d", True), ("horizon", None),
         ("vf_hidden", 5), ("vf_hidden", "64"), ("head_hidden", [8, "x"]),
-        ("alpha", "1"), ("lambda_min", None),
+        ("alpha", "1"), ("lambda_min", None),  # a removed key is unknown
     ])
     def test_malformed_values_rejected(self, key, value):
         with pytest.raises(ValidationError, match=key):
@@ -164,14 +163,9 @@ class TestCorruptMark:
 
 
 class TestFlowBatchNoise:
-    @pytest.mark.parametrize("policy", [
-        {"rate_mode": "context", "pi0_mode": "uniform"},
-        {"rate_mode": "manual", "manual_rate": 2.5, "pi0_mode": "context"},
-        {"rate_mode": "context", "pi0_mode": "context"},
-    ])
-    def test_replays_draw_noise(self, policy):
+    def test_replays_draw_noise(self):
         # per window, in stream order: t, then Model.draw_noise, then keep
-        model = Model(tiny_config(**policy), seed=0)
+        model = Model(tiny_config(), seed=0)
         windows = poisson_windows(5)
         batch = model.build_flow_batch(windows, np.random.default_rng(12))
         replay = np.random.default_rng(12)
@@ -192,17 +186,13 @@ class TestFlowBatchNoise:
 class TestRateAndPi0:
     def test_estimate_lambda_examples(self):
         s = EventSequence(np.array([0.5, 1.5]), np.array([0, 0]), 1)
-        assert estimate_lambda(s, 1e-6) == 1.0
+        assert estimate_lambda(s) == 1.0
         s = EventSequence(np.array([2.0]), np.array([0]), 1)
-        assert estimate_lambda(s, 1e-6) == 0.5
+        assert estimate_lambda(s) == 0.5
 
     def test_estimate_lambda_floor(self):
         s = EventSequence(np.array([1e9]), np.array([0]), 1)
-        assert estimate_lambda(s, lambda_min=1e-6) == 1e-6
-
-    def test_estimate_pi0_laplace(self):
-        s = EventSequence(np.ones(4), np.array([0, 0, 1, 0]), 3)
-        np.testing.assert_allclose(estimate_pi0(s, 3), [4 / 7, 2 / 7, 1 / 7])
+        assert estimate_lambda(s) == LAMBDA_MIN == 1e-6
 
 
 class TestEncodeContext:
@@ -675,7 +665,7 @@ class TestModelCheckpoint:
         path = tmp_path / "act.json"
         model.save_checkpoint(path, {"seed": 13})
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2 and "activation" not in doc["config"]["model"]
+        assert doc["version"] == 3 and "activation" not in doc["config"]["model"]
         doc["config"]["model"]["activation"] = value
         path.write_text(json.dumps(doc, sort_keys=True))
         return model, path
@@ -687,11 +677,11 @@ class TestModelCheckpoint:
 
     @pytest.mark.parametrize("doc,named", [
         ([1, 2], "unsupported version"),
-        ({"version": 2, "config": [], "params": {}}, "missing config object"),
-        ({"version": 2, "config": {"model": "x"}, "params": {}},
+        ({"version": 3, "config": [], "params": {}}, "missing config object"),
+        ({"version": 3, "config": {"model": "x"}, "params": {}},
          "'model' must be an object"),
         # the model section is config["model"], never the config itself
-        ({"version": 2, "config": {"vocab_size": 3}, "params": {}},
+        ({"version": 3, "config": {"vocab_size": 3}, "params": {}},
          "'model' must be an object"),
     ])
     def test_malformed_document_rejected(self, tmp_path, doc, named):

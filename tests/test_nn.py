@@ -305,7 +305,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         nn.save_checkpoint(path, {}, store)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == nn.CHECKPOINT_VERSION == 3
         assert set(doc) == {"version", "config", "params"}
         entry = doc["params"]["mlp.0.W"]
         assert entry == {"shape": [2, 2], "data": b64(store["mlp.0.W"].data)}
@@ -374,7 +374,8 @@ class TestCheckpoint:
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        for version in (1, 99, None):
+        # version 2 wrote the noise policy and Adam's constants in config
+        for version in (1, 2, 99, None):
             path.write_text(json.dumps(
                 {"version": version, "config": {}, "params": {}}))
             with pytest.raises(ValidationError,

@@ -9,14 +9,17 @@ from flowtpp import (
     ModelConfig,
     SamplerConfig,
     ValidationError,
-    estimate_pi0,
+    estimate_lambda,
     generate,
     make_windows,
     predictions_to_sequences,
     simulate_poisson,
 )
+from flowtpp import sampler
+from flowtpp.model import LAMBDA_MIN
 from flowtpp.nn import softmax
 from flowtpp.sampler import (
+    EPS_TIME,
     INVARIANT_COUNTS,
     categorical_rows,
     flow_step,
@@ -31,17 +34,21 @@ def small_windows(n, horizon=4, m=3, seed_hi=31):
     return make_windows(seqs, horizon)
 
 
+def gap_context(gap, m=3):
+    """A context of three gaps averaging gap, whose noise rate is 1 / gap."""
+    return EventSequence([gap, 0.5 * gap, 1.5 * gap], [0, 1, 2], m)
+
+
 class ConstantField:
     """Duck-typed net: fixed vector field value and flat logits, with the
-    model's noise policy (manual rate by default)."""
+    model's noise."""
 
     draw_noise = Model.draw_noise
 
-    def __init__(self, v, vocab_size=3, d=1, manual_rate=1.0):
+    def __init__(self, v, vocab_size=3, d=1):
         self.v = v
         self.calls = []
-        self.config = ModelConfig(vocab_size=vocab_size, horizon=4, d=d,
-                                  rate_mode="manual", manual_rate=manual_rate)
+        self.config = ModelConfig(vocab_size=vocab_size, horizon=4, d=d)
 
     def project_contexts(self, contexts):
         return np.zeros((len(contexts), 1))
@@ -93,45 +100,42 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SamplerConfig(steps=0)
-        with pytest.raises(ValidationError):
-            SamplerConfig(eps_time=0.0)
-        with pytest.raises(TypeError):
-            SamplerConfig(rate_mode="manual")
-        with pytest.raises(ValidationError):
-            SamplerConfig(chunk_size=0)
+        with pytest.raises(ValidationError, match="sampler.seed must be >= 0"):
+            SamplerConfig(seed=-1)
+        # the guards and the chunk size are constants, the noise the model's
+        for key in ("eps_time", "eps_prob", "chunk_size", "rate_mode"):
+            with pytest.raises(TypeError):
+                SamplerConfig(**{key: 1})
 
 
 class TestInitNoise:
     """Model.draw_noise, the sampler's initial noise."""
 
     def test_exponential_mean(self):
-        net = ConstantField(0.0, manual_rate=2.0)
-        context = small_windows(1)[0].context
-        x, _ = net.draw_noise(context, 10000, np.random.default_rng(0), 1e-6)
+        net = ConstantField(0.0)
+        x, _ = net.draw_noise(gap_context(0.5), 10000, np.random.default_rng(0), 1e-6)
         assert 0.485 < x.mean() < 0.515
         assert np.all(x >= 1e-6)
 
     def test_floor(self):
-        net = ConstantField(0.0, manual_rate=2.0)
-        context = small_windows(1)[0].context
-        x, _ = net.draw_noise(context, 200, np.random.default_rng(1), 0.5)
+        net = ConstantField(0.0)
+        x, _ = net.draw_noise(gap_context(0.5), 200, np.random.default_rng(1), 0.5)
         assert x.min() == 0.5 and np.any(x > 0.5)
 
     def test_context_policy_replays(self):
-        # x ~ Exp(estimate_lambda) first, then y ~ Cat(estimate_pi0)
+        # x ~ Exp(estimate_lambda) first, then y uniform over the marks,
+        # whatever the context's marks
         net = ConstantField(0.0)
-        net.config = ModelConfig(vocab_size=3, horizon=4, d=1,
-                                 rate_mode="context", pi0_mode="context")
         context = EventSequence([0.5, 0.25, 0.75], [2, 2, 0], 3)
         x, y = net.draw_noise(context, 50, np.random.default_rng(2), 1e-6)
         replay = np.random.default_rng(2)
         np.testing.assert_array_equal(
             x, np.maximum(replay.exponential(0.5, 50), 1e-6))
         np.testing.assert_array_equal(
-            y, categorical_rows(np.tile([2 / 6, 1 / 6, 3 / 6], (50, 1)), replay))
+            y, categorical_rows(np.full((50, 3), 1 / 3), replay))
 
     def test_deterministic(self):
-        net = ConstantField(0.0, vocab_size=2, manual_rate=1.5)
+        net = ConstantField(0.0, vocab_size=2)
         context = small_windows(1, m=2)[0].context
         a = net.draw_noise(context, 50, np.random.default_rng(7), 1e-6)
         b = net.draw_noise(context, 50, np.random.default_rng(7), 1e-6)
@@ -139,12 +143,12 @@ class TestInitNoise:
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_bad_rate(self):
-        # the rate is positive by construction: a manual rate must be, and a
-        # context rate is floored at a positive lambda_min
-        with pytest.raises(ValidationError):
-            ModelConfig(vocab_size=3, horizon=4, rate_mode="manual", manual_rate=0.0)
-        with pytest.raises(ValidationError):
-            ModelConfig(vocab_size=3, horizon=4, lambda_min=0.0)
+        # the rate is positive by construction: a context too sparse for
+        # one is drawn at the floor LAMBDA_MIN
+        net = ConstantField(0.0)
+        x, _ = net.draw_noise(gap_context(1e9), 20, np.random.default_rng(3), 1e-6)
+        replay = np.random.default_rng(3)
+        np.testing.assert_array_equal(x, replay.exponential(1.0 / LAMBDA_MIN, 20))
 
 
 class TestStepTime:
@@ -158,12 +162,11 @@ class TestStepTime:
     def test_negative_field_clamps_both_stages(self):
         net = ConstantField(-10.0)
         out, _ = flow_step(net, np.array([0.1]), np.zeros(1, dtype=int), 0.0,
-                           np.zeros((1, 1)), one_window(1),
-                           SamplerConfig(steps=2, eps_time=1e-6))
+                           np.zeros((1, 1)), one_window(1), SamplerConfig(steps=2))
         # midpoint state 0.1 - 2.5 and final state 0.1 - 5 both project to the floor
-        assert out[0] == 1e-6
+        assert out[0] == EPS_TIME == 1e-6
         mid_x, mid_t, _ = net.calls[1]
-        assert mid_x[0] == 1e-6 and mid_t == 0.25
+        assert mid_x[0] == EPS_TIME and mid_t == 0.25
 
     def test_constant_field_integrates_exactly(self):
         net = ConstantField(0.8)
@@ -192,13 +195,12 @@ class TestStepTime:
 class TestMarkProbs:
     def test_flat_logits_full_step_hand_trace(self):
         # p_t = [0.5, 0.5], u = ([0.5, 0.5] - [1, 0]) / 1, one full step lands on p_t
-        p = mark_probs(np.zeros((1, 2)), np.array([0]), 0.0, 1.0,
-                       SamplerConfig.eps_prob)
+        p = mark_probs(np.zeros((1, 2)), np.array([0]), 0.0, 1.0)
         np.testing.assert_array_equal(p, [[0.5, 0.5]])
 
     def test_peaked_logits_hold_mass(self):
         logits = np.array([[50.0, 0.0, 0.0]])
-        p = mark_probs(logits, np.array([0]), 0.5, 0.125, eps_prob=1e-5)
+        p = mark_probs(logits, np.array([0]), 0.5, 0.125)
         assert p[0, 0] >= 1.0 - 3e-5
         assert np.all(p >= 0)
 
@@ -208,21 +210,20 @@ class TestMarkProbs:
         logits = rng.normal(0, 1, size=(6, 4))
         target = softmax(logits, axis=1)
         assert np.all(target > 1e-5)
-        p = mark_probs(logits, rng.integers(0, 4, 6), 0.875, 0.125,
-                       SamplerConfig.eps_prob)
+        p = mark_probs(logits, rng.integers(0, 4, 6), 0.875, 0.125)
         np.testing.assert_allclose(p, target, rtol=0, atol=1e-12)
 
     def test_singularity_guard(self):
         logits = np.array([[1.0, -1.0, 0.5]])
         for t in (1.0, 1.0 - 1e-12):
-            p = mark_probs(logits, np.array([1]), t, 0.125, SamplerConfig.eps_prob)
+            p = mark_probs(logits, np.array([1]), t, 0.125)
             assert np.isfinite(p).all()
             np.testing.assert_allclose(p, softmax(logits, axis=1), atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
         logits = rng.normal(0, 5, size=(40, 5))
         y = rng.integers(0, 5, 40)
-        p = mark_probs(logits, y, 0.25, 0.125, SamplerConfig.eps_prob)
+        p = mark_probs(logits, y, 0.25, 0.125)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(40), atol=1e-14)
         assert np.all(p > 0)
 
@@ -253,15 +254,15 @@ class TestGenerate:
     def test_zero_field_keeps_init_noise(self):
         # with v = 0 every time step is the identity, so the returned times
         # must equal the window's Model.draw_noise on its stream, floored at
-        # eps_time; the redraw then continues that stream
-        net = ConstantField(0.0, manual_rate=2.0)
+        # EPS_TIME; the redraw then continues that stream
+        net = ConstantField(0.0)
         windows = small_windows(5)
         cfg = SamplerConfig(steps=1, seed=99)
         out = generate(net, windows, cfg)
         for idx, w in enumerate(windows):
             rng = np.random.default_rng([cfg.seed, 3, idx])
-            x_exp, y0 = net.draw_noise(w.context, w.horizon, rng, cfg.eps_time)
-            p_new = mark_probs(net.logits(y0), y0, 0.0, cfg.h, cfg.eps_prob)
+            x_exp, y0 = net.draw_noise(w.context, w.horizon, rng, EPS_TIME)
+            p_new = mark_probs(net.logits(y0), y0, 0.0, cfg.h)
             np.testing.assert_array_equal(out[idx][0], x_exp)
             np.testing.assert_array_equal(out[idx][1], categorical_rows(p_new, rng))
 
@@ -275,47 +276,35 @@ class TestGenerate:
         assert np.all(marks == 2)
 
     def test_noise_follows_model_policy(self):
-        # context rate and context pi0; all-zero context marks skew pi0 to
-        # [7/9, 1/9, 1/9]. A zero field and echoed marks return the init noise
+        # the context's rate and uniform marks, even where every context mark
+        # is 0. A zero field and echoed marks return the init noise
         net = EchoMarks(0.0)
-        net.config = ModelConfig(vocab_size=3, horizon=4, d=1,
-                                 rate_mode="context", pi0_mode="context")
         rng = np.random.default_rng(4)
-        seqs = [EventSequence(rng.exponential(0.5, 10),
-                              np.r_[np.zeros(6, dtype=int), rng.integers(0, 3, 4)], 3)
-                for _ in range(6)]
+        seqs = [EventSequence(rng.exponential(0.5 + i, 10), np.zeros(10, dtype=int), 3)
+                for i in range(6)]
         windows = make_windows(seqs, 4)
         cfg = SamplerConfig(steps=1, seed=8)
         out = generate(net, windows, cfg)
-        uniform = ConstantField(0.0)
-        uniform.config = ModelConfig(vocab_size=3, horizon=4, d=1,
-                                     rate_mode="context", pi0_mode="uniform")
-        uniform_marks = []
         for idx, w in enumerate(windows):
-            np.testing.assert_allclose(estimate_pi0(w.context, 3),
-                                       [7 / 9, 1 / 9, 1 / 9])
-            x_exp, y_exp = net.draw_noise(w.context, w.horizon,
-                                          np.random.default_rng([cfg.seed, 3, idx]),
-                                          cfg.eps_time)
-            np.testing.assert_array_equal(out[idx][0], x_exp)
-            np.testing.assert_array_equal(out[idx][1], y_exp)
-            uniform_marks.append(uniform.draw_noise(
-                w.context, w.horizon, np.random.default_rng([cfg.seed, 3, idx]),
-                cfg.eps_time)[1])
-        # the policy is visible in the output: uniform noise draws other marks
-        assert not np.array_equal(np.concatenate(uniform_marks),
-                                  np.concatenate([y for _, y in out]))
+            replay = np.random.default_rng([cfg.seed, 3, idx])
+            scale = 1.0 / estimate_lambda(w.context)
+            np.testing.assert_array_equal(
+                out[idx][0], np.maximum(replay.exponential(scale, 4), EPS_TIME))
+            np.testing.assert_array_equal(
+                out[idx][1], categorical_rows(np.full((4, 3), 1 / 3), replay))
+        assert len(np.unique(np.concatenate([y for _, y in out]))) == 3
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_tape_reference_loop(self, seed):
+    def test_matches_tape_reference_loop(self, seed, monkeypatch):
         cfg_model = ModelConfig(vocab_size=3, horizon=4, d=8, vf_hidden=(16, 8),
-                                head_hidden=(8,), pi0_mode="context")
+                                head_hidden=(8,))
         model = Model(cfg_model, seed=seed)
         rng = np.random.default_rng([seed, 7])
         for t in model.store.params.values():
             t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
         windows = ragged_windows(9)
-        cfg = SamplerConfig(steps=8, seed=seed, chunk_size=4)
+        monkeypatch.setattr(sampler, "CHUNK_SIZE", 4)  # 9 windows in 3 chunks
+        cfg = SamplerConfig(steps=8, seed=seed)
         got = generate(model, windows, cfg)
         want = reference_generate(model, windows, cfg)
         for (x, y), (x_ref, y_ref) in zip(got, want):
@@ -340,7 +329,7 @@ class TestGenerate:
         assert len(out) == 7
         for (x, y), w in zip(out, windows):
             assert x.shape == (w.horizon,) and y.shape == (w.horizon,)
-            assert np.all(x >= cfg.eps_time)
+            assert np.all(x >= EPS_TIME)
             assert np.all((y >= 0) & (y < 3))
 
     def test_deterministic(self):
@@ -354,14 +343,14 @@ class TestGenerate:
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
-    def test_chunking_does_not_change_output(self):
+    def test_chunking_does_not_change_output(self, monkeypatch):
         model = Model(ModelConfig(vocab_size=3, horizon=4, d=8,
                                   vf_hidden=(8,), head_hidden=(8,)), seed=2)
         windows = small_windows(8)
-        base = SamplerConfig(steps=4, seed=6, chunk_size=256)
-        split = SamplerConfig(steps=4, seed=6, chunk_size=3)
-        a = generate(model, windows, base)
-        b = generate(model, windows, split)
+        cfg = SamplerConfig(steps=4, seed=6)
+        a = generate(model, windows, cfg)
+        monkeypatch.setattr(sampler, "CHUNK_SIZE", 3)
+        b = generate(model, windows, cfg)
         for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(ya, yb)
