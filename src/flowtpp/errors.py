@@ -100,11 +100,8 @@ class Config:
 
     def __post_init__(self):
         for name, kind in self.field_types.items():
-            value = getattr(self, name)
-            # an exact type skips the slower checks, but a float is finite
-            if type(value) is not kind or kind is float and not math.isfinite(value):
-                value = check_value(f"{self.section}.{name}", value, kind)
-                object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_value(
+                f"{self.section}.{name}", getattr(self, name), kind))
         if "seed" in self.field_types:
             check_seed(f"{self.section}.seed", self.seed)
         self.validate()

@@ -304,20 +304,15 @@ class Model:
     # ---- networks: plain arrays, no tape --------------------------------------
     #
     # Both networks read concat([x, onehot(y), phi(t), h_c]), so their first
-    # layers split into x*W_x + W_y[y] + phi(t) @ W_t + (h_c @ W_h + b). The
-    # bracket is fixed for a window; project_contexts computes it once. The
-    # loss runs the same forward and keeps the tanh activations.
-
-    def _first_layer_rows(self) -> tuple:
-        """Row ranges of the first-layer weights: (W_y, W_t); W_x is row 0
-        and W_h the rows after W_t."""
-        m = self.config.vocab_size
-        return slice(1, m + 1), slice(m + 1, m + 1 + self.config.t_embed_dim)
+    # layers are [x, onehot(y), phi(t)]·W + (h_c·W_h + b), W the rows above
+    # W_h. The bracket is fixed for a window; project_contexts computes it
+    # once. The loss runs the same forward, and its backward reuses the
+    # input matrix and the tanh activations.
 
     def _context_weights(self) -> tuple:
         """(W_h, b) of both first layers side by side, vf columns first."""
-        _, t_rows = self._first_layer_rows()
-        w1 = [self.store[f"{net}.0.W"].data[t_rows.stop :] for net in ("vf", "head")]
+        h_rows = slice(self.config.input_dim - self.config.d, None)
+        w1 = [self.store[f"{net}.0.W"].data[h_rows] for net in ("vf", "head")]
         b1 = [self.store[f"{net}.0.b"].data for net in ("vf", "head")]
         return np.concatenate(w1, axis=1), np.concatenate(b1)
 
@@ -345,28 +340,24 @@ class Model:
         return [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
 
     def _run_nets(self, x_t, y_t, t, proj_rows, marks: bool, acts=None) -> tuple:
-        """predict's forward; with a list acts, the time features phi(t) and
-        then each net's tanh outputs, one list per net, are appended to it."""
+        """predict's forward; with a list acts, the first-layer inputs
+        [x, onehot(y), phi(t)] and then each net's tanh outputs, one list per
+        net, are appended to it."""
         cfg = self.config
         x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
         y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
         if np.any(y_t < 0) or np.any(y_t >= cfg.vocab_size):
             raise ValidationError("mark out of vocabulary in predict input")
-        nets = self._nets(marks)
-        w1 = [self.store[f"{net}.0.W"].data for net, _ in nets]
-        y_rows, t_rows = self._first_layer_rows()
-        w_y = np.concatenate([w[y_rows] for w in w1], axis=1)
-        phi = sinusoidal_features(t, cfg.t_embed_dim)
+        nets, k = self._nets(marks), cfg.input_dim - cfg.d
+        inputs = np.zeros((x_t.shape[0], k))
+        inputs[:, 0] = x_t
+        inputs[np.arange(x_t.shape[0]), 1 + y_t] = 1.0
+        inputs[:, 1 + cfg.vocab_size :] = sinusoidal_features(t, cfg.t_embed_dim)
         if acts is not None:
-            acts.append(phi)
-        phi_w = phi @ np.concatenate([w[t_rows] for w in w1], axis=1)
-        a = np.multiply.outer(x_t, np.concatenate([w[0] for w in w1]))
+            acts.append(inputs)
+        a = inputs @ np.concatenate([self.store[f"{net}.0.W"].data[:k]
+                                     for net, _ in nets], axis=1)
         a += proj_rows[:, : a.shape[1]]
-        if np.ndim(t) == 0:
-            a += (w_y + phi_w)[y_t]
-        else:
-            a += w_y[y_t]
-            a += phi_w
         outs, lo = [], 0
         for net, sizes in nets:
             h = a[:, lo : lo + sizes[1]]
@@ -413,8 +404,8 @@ class Model:
         config.alpha times the mean cross-entropy of the logits against the
         clean marks. It is one tape node whose parents are h_c and the vf/head
         parameters. The forward is predict's, with the context term
-        h_c·W_h + b computed once per window; the backward reuses its tanh
-        activations.
+        h_c·W_h + b computed once per window; the backward reuses its input
+        matrix and tanh activations.
         """
         if len(batch) == 0:
             raise ValidationError("empty flow batch")
@@ -423,7 +414,7 @@ class Model:
         v, logits = self._run_nets(batch.x_t, batch.y_t, batch.t,
                                    self._project(h_c.data)[batch.window_idx],
                                    True, acts)
-        phi, *acts = acts
+        inputs, *acts = acts
         resid = v - (batch.x1 - batch.x0)
         l_time = (resid * resid).sum() / n
         shift = logits - logits.max(axis=1, keepdims=True)
@@ -451,9 +442,7 @@ class Model:
                     d *= 1.0 - a_in * a_in
                 d_first.append(d)
             d_a = np.concatenate(d_first, axis=1)
-            # scatters to marks and windows are one-hot matmuls
-            inputs = np.concatenate([batch.x_t[:, None], batch.y_t[:, None]
-                                     == np.arange(self.config.vocab_size), phi], axis=1)
+            # the scatter to windows is a one-hot matmul
             to_window = batch.window_idx == np.arange(h_c.shape[0])[:, None]
             d_proj = to_window.astype(np.float64) @ d_a
             d_w = np.concatenate([inputs.T @ d_a, h_c.data.T @ d_proj])

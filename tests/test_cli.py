@@ -439,6 +439,25 @@ class TestSample:
         truths = load_jsonl(truth)
         assert len(truths) == 8 and all(len(t) == 4 for t in truths)
 
+    def test_overflowing_field_exits_2(self, tmp_path, checkpoint, data_path):
+        # every parameter is finite, so the checkpoint loads; each hidden unit
+        # of the field is tanh(1), and 8 * tanh(1) * 1.7e308 overflows
+        doc = json.loads(open(checkpoint).read())
+        params = doc["params"]
+        params["vf.0.W"] = with_values(params["vf.0.W"], 0.0 * values_of(params["vf.0.W"]))
+        params["vf.0.b"] = with_values(params["vf.0.b"], [1.0] * 8)
+        params["vf.1.W"] = with_values(params["vf.1.W"], [1.7e308] * 8)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        out = tmp_path / "pred.jsonl"
+        proc = run_cli(["sample", "--checkpoint", str(big), "--data", data_path,
+                        "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert ("numerical abort: non-finite vector field at flow time t=0.000000"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestSampleNoisePolicy:
     """Sampling draws its noise as training does (Model.draw_noise); the

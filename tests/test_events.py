@@ -102,6 +102,10 @@ class TestEventSequence:
         with pytest.raises(ValidationError):
             seq([np.inf], [0])
 
+    def test_rejects_2d_inter_times(self):
+        with pytest.raises(ValidationError, match="must be 1-d"):
+            EventSequence([[1.0, 2.0]], [0, 1], 3)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             seq([1.0, 2.0], [0])
@@ -123,6 +127,10 @@ class TestToInterEvent:
     def test_rejects_non_number_timestamps(self, ts):
         with pytest.raises(ValidationError, match="timestamp at index 0"):
             to_inter_event(ts)
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValidationError, match="timestamps must be 1-d"):
+            to_inter_event([[1.0, 2.0]])
 
     def test_float_array_is_not_scanned(self):
         np.testing.assert_array_equal(
@@ -157,6 +165,8 @@ class TestWindows:
         c = seq([1.0], [0])
         with pytest.raises(ValidationError):
             ForecastWindow(c, seq([], []))
+        with pytest.raises(ValidationError, match="vocab_size differ"):
+            ForecastWindow(c, seq([1.0], [0], m=4))
 
 
 class TestJsonl:
@@ -258,6 +268,18 @@ class TestJsonl:
         assert len(rejected) == 2
         assert "line 2" in rejected[0] and "inter-event time" in rejected[0]
         assert "line 3" in rejected[1] and "timestamp" in rejected[1]
+
+    def test_nonfinite_timestamp_skips_line(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"vocab_size":2}}\n{"ts":[NaN,2.0],"marks":[0,1]}\n')
+        with caplog.at_level("WARNING"):
+            assert load_jsonl(path) == []
+        assert [r.message for r in caplog.records] == [
+            f"{path} line 2 rejected: non-finite timestamp"]
+
+    def test_save_rejects_other_vocabulary(self, tmp_path):
+        with pytest.raises(ValidationError, match="differs from dataset header"):
+            save_jsonl(tmp_path / "d.jsonl", [seq([1.0], [0], m=3)], 4)
 
     def test_bool_vocab_size_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"

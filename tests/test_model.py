@@ -269,6 +269,20 @@ class TestForward:
                                   marks=False)
         assert v.shape == (2,) and logits is None
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("t", [0.0, 0.375, 0.9375])
+    def test_scalar_time_is_per_row_time(self, m, t):
+        """The sampler's scalar t and one t per row take the same path."""
+        rng = np.random.default_rng([m, 5])
+        model = jittered_model(ModelConfig(vocab_size=m), m)
+        ctxs = random_contexts(rng, 6, m, max_len=9)
+        proj = np.repeat(model.project_contexts(ctxs), 20, axis=0)
+        x, y = rng.exponential(1.0, 120), rng.integers(0, m, 120)
+        v, logits = model.predict(x, y, t, proj)
+        v_rows, logits_rows = model.predict(x, y, np.full(120, t), proj)
+        np.testing.assert_array_equal(v, v_rows)
+        np.testing.assert_array_equal(logits, logits_rows)
+
     def test_mark_out_of_vocab_rejected(self):
         model = Model(tiny_config(), seed=5)
         with pytest.raises(ValidationError, match="vocab"):

@@ -243,6 +243,18 @@ class TestAdam:
         with pytest.raises(NumericalError, match="w"):
             nn.adam_step(store, lr=0.1)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_update_names_parameter(self):
+        # the first step moves by -lr * sign(g): -1.7e308 - 1e308 overflows
+        store = nn.ParamStore()
+        store.add("head.0.b", np.ones(2))
+        p = store.add("vf.1.W", np.array([-1.7e308]))
+        store["head.0.b"].grad = np.ones(2)
+        p.grad = np.ones(1)
+        with pytest.raises(NumericalError, match="non-finite value in parameter "
+                                                 "'vf.1.W' after update"):
+            nn.adam_step(store, lr=1e308)
+
 
 class TestBackward:
     def test_nonscalar_rejected(self, rng):

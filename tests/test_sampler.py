@@ -7,6 +7,7 @@ from flowtpp import (
     EventSequence,
     Model,
     ModelConfig,
+    NumericalError,
     SamplerConfig,
     ValidationError,
     estimate_lambda,
@@ -79,6 +80,18 @@ class EchoMarks(ConstantField):
         logits = np.zeros((len(y), self.config.vocab_size))
         logits[np.arange(len(y)), y] = 50.0
         return logits
+
+
+class NanFrom(ConstantField):
+    """A zero field that turns NaN at flow times from nan_t on."""
+
+    def __init__(self, nan_t):
+        super().__init__(0.0)
+        self.nan_t = nan_t
+
+    def predict(self, x, y, t, proj_rows, marks=True):
+        v, logits = super().predict(x, y, t, proj_rows, marks)
+        return (v + np.nan if t >= self.nan_t else v), logits
 
 
 def ragged_windows(n, horizon=4, m=3, seed_hi=32):
@@ -361,6 +374,13 @@ class TestGenerate:
         generate(net, small_windows(4), SamplerConfig(steps=4))
         assert INVARIANT_COUNTS["checks"] == before["checks"] + 3 * 4
         assert INVARIANT_COUNTS["violations"] == before["violations"]
+
+    # steps of 0.25: 0.375 is the second step's midpoint, 0.5 the third step
+    @pytest.mark.parametrize("nan_t", [0.0, 0.375, 0.5])
+    def test_nonfinite_field_names_flow_time(self, nan_t):
+        with pytest.raises(NumericalError,
+                           match=f"non-finite vector field at flow time t={nan_t:.6f}"):
+            generate(NanFrom(nan_t), small_windows(3), SamplerConfig(steps=4))
 
     def test_vocab_mismatch_rejected(self):
         net = ConstantField(0.0, vocab_size=5)

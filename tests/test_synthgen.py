@@ -3,8 +3,9 @@ import pytest
 
 import kernel_reference
 from flowtpp import HawkesSpec, ValidationError, simulate_hawkes, simulate_poisson
+from flowtpp import synthgen
 from flowtpp.kernels import hawkes_thinning
-from flowtpp.synthgen import categorical_rows
+from flowtpp.synthgen import _TINY_DT, categorical_rows
 
 
 class TestPoisson:
@@ -129,6 +130,27 @@ class TestHawkesSimulation:
         freqs = np.bincount(s.marks, minlength=2) / 5000
         # symmetric parameters: both types near 1/2
         np.testing.assert_allclose(freqs, [0.5, 0.5], atol=0.05)
+
+    def test_short_buffer_is_extended_and_rerun(self, monkeypatch):
+        # 256 uniforms emit 62 of 64 events; the rerun over 512 emits all 64
+        spec = HawkesSpec([0.25, 0.25], [[0.3, 0.1], [0.1, 0.3]], 1.0)
+        calls = []
+
+        def counted(*args):
+            result = hawkes_thinning(*args)
+            calls.append((result[0], args[4].shape[0]))
+            return result
+
+        monkeypatch.setattr(synthgen.kernels, "hawkes_thinning", counted)
+        s = simulate_hawkes(spec, 64, seed=[28])
+        assert calls == [(62, 256), (64, 512)]
+        dts = np.empty(64)
+        marks = np.empty(64, dtype=np.int64)
+        uniforms = np.random.default_rng([28]).random(512)
+        assert hawkes_thinning(spec.base_rates, spec.excite, spec.decay, 64,
+                               uniforms, dts, marks)[0] == 64
+        np.testing.assert_array_equal(s.inter_times, np.maximum(dts, _TINY_DT))
+        np.testing.assert_array_equal(s.marks, marks)
 
 
 class TestKernelParity:
