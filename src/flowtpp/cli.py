@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Config, NumericalError, ValidationError, check_section,
-                     check_seed, parse_json, read_text)
+from .errors import (Config, NumericalError, ValidationError, check_memory,
+                     check_section, check_seed, parse_json, read_text)
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     HIST_BINS,
@@ -81,6 +81,9 @@ class SimulateConfig(Config, section="simulate"):
             self.require(getattr(self, key) >= 1, key, ">= 1")
         self.require(self.kind in ("poisson", "hawkes"), "kind",
                      "'poisson' or 'hawkes'")
+        # gaps and marks, plus the Hawkes thinning's 4·length uniforms, up front
+        check_memory(8 * self.length * (2 if self.kind == "poisson" else 6),
+                     "simulated sequence", f"simulate.length={self.length}")
         m = self.types
         if self.kind == "poisson" and self.mark_probs and len(self.mark_probs) != m:
             raise ValidationError(
@@ -426,7 +429,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _load_config(args.config))
+        # non-finite results are checked where they matter; numpy's warnings are noise
+        with np.errstate(all="ignore"):
+            return args.func(args, _load_config(args.config))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Error types shared across modules, mapped to CLI exit codes; the one
-decoder of every input file; and the check behind every config section:
-closed keys, typed values."""
+decoder of every input file; the check behind every config section:
+closed keys, typed values; and the check of sizes against memory."""
 
 import json
 import math
 import numbers
+import os
 import typing
 from dataclasses import MISSING, asdict, fields
 
@@ -72,6 +73,13 @@ def check_seed(name: str, value) -> int:
     if seed < 0:
         raise ValidationError(f"{name} must be >= 0, got {seed}")
     return seed
+
+
+def check_memory(nbytes: int, what: str, sizes: str):
+    """Unless nbytes fit in physical memory, ValidationError "<what> too
+    large to allocate: <sizes>", to raise before anything is allocated."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValidationError(f"{what} too large to allocate: {sizes}")
 
 
 def check_section(section: str, data, types: dict) -> dict:

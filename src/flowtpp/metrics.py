@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import Config, ValidationError
+from .errors import Config, ValidationError, check_memory
 from .events import EventSequence
 
 
@@ -155,6 +155,8 @@ def _time_bins(reference: np.ndarray, bins: int, samples) -> tuple:
     and per sample its counts in each bin, then above the top edge."""
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
+    # the edges and one sample's counts
+    check_memory(2 * 8 * (bins + 1), "histogram", f"bins={bins}")
     hi = float(np.percentile(reference, 99.0))
     if hi <= 0:
         hi = float(reference.max()) or 1.0

@@ -12,13 +12,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import Config, NumericalError, ValidationError
+from .errors import Config, NumericalError, ValidationError, check_memory
 from .events import EventSequence, ForecastWindow
 from .synthgen import _TINY_DT, categorical_rows
 
@@ -28,8 +27,7 @@ log = logging.getLogger(__name__)
 LAMBDA_MIN = 1e-6
 
 # parameters of the context encoder, the parents of encode_contexts' node
-ENCODER_PARAMS = ("mark_embed.table", "time_embed.0.W", "time_embed.0.b",
-                  *(f"enc.{w}{g}" for g in "zrh" for w in "WUb"))
+ENCODER_PARAMS = tuple(f"enc.{w}{g}" for g in "zrh" for w in "WUb")
 
 
 @functools.cache
@@ -51,16 +49,13 @@ class ModelConfig(Config, section="model"):
     vocab_size: int
     horizon: int = 20
     d: int = 64
-    mark_embed_dim: int = 16
-    time_embed_dim: int = 16
     t_embed_dim: int = 16
     vf_hidden: tuple[int, ...] = (128, 128)
     head_hidden: tuple[int, ...] = (128, 128)
     alpha: float = 1.0
 
     def validate(self):
-        for key in ("vocab_size", "horizon", "d", "mark_embed_dim",
-                    "time_embed_dim", "t_embed_dim"):
+        for key in ("vocab_size", "horizon", "d", "t_embed_dim"):
             self.require(getattr(self, key) >= 1, key, ">= 1")
         for key in ("vf_hidden", "head_hidden"):
             self.require(all(v >= 1 for v in getattr(self, key)), key,
@@ -125,15 +120,15 @@ class Model:
         two Adam moments would not fit in the machine's memory are a
         ValidationError naming them, raised before anything is allocated."""
         cfg = self.config
-        layout = [("mark_embed.table", (cfg.vocab_size, cfg.mark_embed_dim), 1)]
+        layout = []
 
         def add_affine(prefix, sizes):
             for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
                 layout.append((f"{prefix}.{i}.W", (fan_in, fan_out), fan_in))
                 layout.append((f"{prefix}.{i}.b", (fan_out,), None))
 
-        add_affine("time_embed", [1, cfg.time_embed_dim])
-        gru_in = cfg.mark_embed_dim + cfg.time_embed_dim
+        # GRU input [onehot(mark), log1p(gap)]: M mark rows of W, then the gap row
+        gru_in = cfg.vocab_size + 1
         for gate in ("z", "r", "h"):
             layout.append((f"enc.W{gate}", (gru_in, cfg.d), gru_in))
             layout.append((f"enc.U{gate}", (cfg.d, cfg.d), cfg.d))
@@ -142,11 +137,9 @@ class Model:
         self._head_sizes = [cfg.input_dim, *cfg.head_hidden, cfg.vocab_size]
         add_affine("vf", self._vf_sizes)
         add_affine("head", self._head_sizes)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 3 * 8 * sum(math.prod(shape) for _, shape, _ in layout) > memory:
-            sizes = ", ".join(f"model.{key}={value}" for key, value in cfg.to_dict().items()
-                              if key not in ("horizon", "alpha"))
-            raise ValidationError(f"model too large to allocate: {sizes}")
+        check_memory(3 * 8 * sum(math.prod(shape) for _, shape, _ in layout), "model",
+                     ", ".join(f"model.{key}={value}" for key, value in cfg.to_dict().items()
+                               if key not in ("horizon", "alpha")))
         for path, shape, fan_in in layout:
             self.store.add(path, np.zeros(shape) if rng is None or fan_in is None
                            else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
@@ -199,32 +192,33 @@ class Model:
     def _gru(self, contexts, keep: bool = False) -> tuple:
         """GRU over each context: (h_c (B, d), saved activations or None).
 
-        The input projections of all steps are one matmul ahead of the
-        recurrence, with the z/r/h gates side by side. Rows are visited
-        longest context first, so step k updates only the rows still inside
-        their context, and padded steps leave h bit-identical. With keep,
-        each step's activations are saved for _gru_backward.
+        Each event enters as the features [onehot(mark), log1p(gap)]. Rows
+        are visited longest context first, so step k updates only the rows
+        still inside their context, and padded steps leave h bit-identical.
+        The input projections of all live (step, row) cells are one matmul
+        ahead of the recurrence, with the z/r/h gates side by side. With
+        keep, each step's activations are saved for _gru_backward.
         """
         p = self.store
         marks, logdts, lens = self._pad_contexts(contexts)
         order = np.argsort(-lens, kind="stable")
-        marks, logdts = marks[order].T, logdts[order].T
-        live = (lens[order][None, :] > np.arange(marks.shape[0])[:, None]).sum(axis=1)
-        e_time = (logdts[..., None] * p["time_embed.0.W"].data[0]
-                  + p["time_embed.0.b"].data)
-        feats = np.concatenate([p["mark_embed.table"].data[marks], e_time], axis=2)
-        w_in = np.concatenate([p[f"enc.W{g}"].data for g in "zrh"], axis=1)
-        b_in = np.concatenate([p[f"enc.b{g}"].data for g in "zrh"])
-        gates = feats.reshape(-1, feats.shape[2]) @ w_in
-        gates += b_in
-        gates = gates.reshape(*marks.shape, -1)
+        is_live = lens[order] > np.arange(marks.shape[1])[:, None]
+        live = is_live.sum(axis=1)
+        # step k owns rows cells[k]:cells[k + 1] of feats and gates
+        cells = np.concatenate([[0], np.cumsum(live)])
+        m = self.config.vocab_size
+        feats = np.zeros((cells[-1], m + 1))
+        feats[np.arange(cells[-1]), marks[order].T[is_live]] = 1.0
+        feats[:, m] = logdts[order].T[is_live]
+        gates = feats @ np.concatenate([p[f"enc.W{g}"].data for g in "zrh"], axis=1)
+        gates += np.concatenate([p[f"enc.b{g}"].data for g in "zrh"])
         d = self.config.d
         u_zr = np.concatenate([p["enc.Uz"].data, p["enc.Ur"].data], axis=1)
         u_h = p["enc.Uh"].data
         h = np.zeros((len(lens), d))
         steps = []
         for k, n in enumerate(live):
-            g, h_k = gates[k, :n], h[:n]
+            g, h_k = gates[cells[k] : cells[k + 1]], h[:n]
             zr = h_k @ u_zr
             zr += g[:, : 2 * d]
             zr = 1.0 / (1.0 + np.exp(-zr))
@@ -239,17 +233,13 @@ class Model:
                 steps.append((zr, rh, cand, h_new))
         out = np.empty_like(h)
         out[order] = h
-        return out, ((order, marks, logdts, feats, live, steps, u_zr, w_in)
-                     if keep else None)
+        return out, (order, feats, cells, live, steps, u_zr) if keep else None
 
     def _gru_backward(self, grad, saved) -> dict:
         """Encoder parameter gradients from dL/dh_c (B, d), by path."""
-        order, marks, logdts, feats, live, steps, u_zr, w_in = saved
+        order, feats, cells, live, steps, u_zr = saved
         d = self.config.d
         u_h = self.store["enc.Uh"].data
-        # the live (step, row) cells, step by step: step k owns rows
-        # cells[k]:cells[k + 1] of the gate gradients and the saved states
-        cells = np.concatenate([[0], np.cumsum(live)])
         h_prev = np.concatenate([np.zeros((live[0], d))] + [
             steps[k - 1][3][:n] for k, n in enumerate(live) if k])
         dgates = np.empty((cells[-1], 3 * d))
@@ -267,25 +257,12 @@ class Model:
         # recurrent and input weights: one matmul each over all live cells
         du_h = np.concatenate([s[1] for s in steps]).T @ dgates[:, 2 * d :]
         du_zr = h_prev.T @ dgates[:, : 2 * d]
-        is_live = np.arange(len(order)) < live[:, None]
-        marks, logdts, feats = marks[is_live], logdts[is_live], feats[is_live]
         dw_in = feats.T @ dgates
         db_in = dgates.sum(axis=0)
-        dfeats = dgates @ w_in.T
-        e = self.config.mark_embed_dim
-        onehot = marks[:, None] == np.arange(self.config.vocab_size)
-        de_time = dfeats[:, e:]
-        grads = {
-            "mark_embed.table": onehot.T.astype(np.float64) @ dfeats[:, :e],
-            "time_embed.0.W": logdts[None, :] @ de_time,
-            "time_embed.0.b": de_time.sum(axis=0),
-        }
+        grads = {"enc.Uz": du_zr[:, :d], "enc.Ur": du_zr[:, d:], "enc.Uh": du_h}
         for i, g in enumerate("zrh"):
             cols = slice(i * d, (i + 1) * d)
-            grads[f"enc.W{g}"] = dw_in[:, cols]
-            grads[f"enc.b{g}"] = db_in[cols]
-        grads["enc.Uz"], grads["enc.Ur"] = du_zr[:, :d], du_zr[:, d:]
-        grads["enc.Uh"] = du_h
+            grads[f"enc.W{g}"], grads[f"enc.b{g}"] = dw_in[:, cols], db_in[cols]
         return grads
 
     # ---- source distribution ------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, parse_json, read_text
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Adam's moment decay rates and the denominator guard
 BETA1, BETA2, EPS_OPT = 0.9, 0.999, 1e-8

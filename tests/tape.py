@@ -109,20 +109,19 @@ def forward(model, x_t, y_t, t, h_rows) -> tuple:
 
 def tape_encode_contexts(model, contexts):
     """Reference encoder on the generic tape: every row steps through the
-    longest context, and a mask blends padded steps back to the old state."""
+    longest context on the features [onehot(mark), log1p(gap)], and a mask
+    blends padded steps back to the old state."""
     cfg = model.config
     marks, logdts, lens = model._pad_contexts(contexts)
     b, maxlen = marks.shape
     active = (np.arange(maxlen)[None, :] < lens[:, None]).astype(np.float64)
-    table = model.store["mark_embed.table"]
     h = nn.Tensor(np.zeros((b, cfg.d)))
     one = nn.Tensor(1.0)
     for k in range(maxlen):
-        e_mark = table.take_rows(marks[:, k])
-        e_time = nn.mlp_forward(model.store, logdts[:, k : k + 1],
-                                [1, cfg.time_embed_dim], prefix="time_embed")
-        z = concat([e_mark, e_time], axis=1)
-        h_new = nn.gru_step(model.store, z, h, prefix="enc")
+        feats = np.zeros((b, cfg.vocab_size + 1))
+        feats[np.arange(b), marks[:, k]] = 1.0
+        feats[:, -1] = logdts[:, k]
+        h_new = nn.gru_step(model.store, feats, h, prefix="enc")
         m = nn.Tensor(active[:, k : k + 1])
         h = m * h_new + (one - m) * h
     return h

@@ -167,8 +167,7 @@ def test_criterion_1_gradient_correctness(rng):
         worst = max(worst, max_grad_error(
             lambda: table.take_rows(idx).square().sum(), [table], FD_STEP))
 
-    cfg = ModelConfig(vocab_size=3, horizon=2, d=4, mark_embed_dim=2,
-                      time_embed_dim=2, t_embed_dim=2, vf_hidden=(5,),
+    cfg = ModelConfig(vocab_size=3, horizon=2, d=4, t_embed_dim=2, vf_hidden=(5,),
                       head_hidden=(5,))
     for draw in range(20):
         model = Model(cfg, seed=1000 + draw)
@@ -301,7 +300,7 @@ def test_criterion_7_horizon_ordering(hawkes_family):
 def test_criterion_8_pipeline_reproducibility(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"model": {
-        "d": 8, "mark_embed_dim": 4, "time_embed_dim": 4, "t_embed_dim": 4,
+        "d": 8, "t_embed_dim": 4,
         "vf_hidden": [8], "head_hidden": [8],
     }}))
     argv = ["pipeline", "--seeds", "2", "--config", str(cfg_path),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import flowtpp
 from flowtpp import Model, ModelConfig, SamplerConfig, load_jsonl
-from flowtpp import cli
+from flowtpp import cli, nn
 from flowtpp.cli import SimulateConfig, main
 from flowtpp.errors import ValidationError
 from flowtpp.metrics import EvaluateConfig, OtdConfig
@@ -20,8 +20,6 @@ from flowtpp.model import TrainConfig
 
 SMALL_MODEL = {
     "d": 8,
-    "mark_embed_dim": 4,
-    "time_embed_dim": 4,
     "t_embed_dim": 4,
     "vf_hidden": [8],
     "head_hidden": [8],
@@ -98,6 +96,20 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.jsonl")])
         assert rc == 1
 
+    # lengths whose buffers fail the memory check before anything is
+    # allocated; 10**19 is also past numpy's largest dimension
+    @pytest.mark.parametrize("kind", ["poisson", "hawkes"])
+    @pytest.mark.parametrize("length", [10**12, 10**19])
+    def test_length_past_memory_exits_1(self, tmp_path, kind, length):
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["simulate", "--kind", kind, "--length", str(length),
+                        "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert (f"simulated sequence too large to allocate: simulate.length={length}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestTrain:
     def test_zero_epochs_keeps_init(self, tmp_path, config_path, data_path):
@@ -122,7 +134,7 @@ class TestTrain:
 
     def test_checkpoint_document(self, checkpoint):
         doc = json.loads(open(checkpoint).read())
-        assert doc["version"] == 3
+        assert doc["version"] == nn.CHECKPOINT_VERSION
         assert doc["config"]["seed"] == 5
         assert doc["config"]["model"]["vocab_size"] == 3
         assert doc["config"]["train"] == {"epochs": 2, "batch_size": 4,
@@ -187,7 +199,8 @@ REMOVED_KEYS = {"model.rate_mode": "context", "model.manual_rate": 1.0,
                 "model.pi0_mode": "uniform", "model.lambda_min": 1e-6,
                 "sampler.eps_time": 1e-6, "sampler.eps_prob": 1e-5,
                 "sampler.chunk_size": 256, "train.beta1": 0.9, "train.beta2": 0.999,
-                "train.eps_opt": 1e-8}
+                "train.eps_opt": 1e-8, "model.mark_embed_dim": 16,
+                "model.time_embed_dim": 16}
 
 
 def run_cli(argv):
@@ -289,8 +302,8 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("key,value", REMOVED_KEYS.items(), ids=list(REMOVED_KEYS))
     def test_removed_key_exits_1(self, tmp_path, data_path, checkpoint, key, value):
-        # settings that became constants are unknown keys, even at their
-        # old default values
+        # settings that became constants or went away are unknown keys, even
+        # at their old default values
         section, name = key.split(".")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({section: {name: value}}))
@@ -383,25 +396,30 @@ class TestMalformedCheckpoint:
 
     def test_version_1_exits_1_asking_to_retrain(self, tmp_path, checkpoint,
                                                  data_path):
-        # version 1 stored data as lists of numbers; version 2 as today, plus
-        # the noise policy in model and Adam's constants in train
+        # version 1 stored data as lists of numbers; version 2 as version 3,
+        # plus the noise policy in model and Adam's constants in train;
+        # version 3 as today, plus the GRU's mark and time embeddings
         doc = json.loads(open(checkpoint).read())
         v1 = dict(doc, version=1, params={path: {**e, "data": values_of(e).tolist()}
                                           for path, e in doc["params"].items()})
-        v2 = dict(doc, version=2, config={
+        v3 = dict(doc, version=3, config={
             **doc["config"],
-            "model": {**doc["config"]["model"], "rate_mode": "context",
+            "model": {**doc["config"]["model"], "mark_embed_dim": 4,
+                      "time_embed_dim": 4}})
+        v2 = dict(v3, version=2, config={
+            **v3["config"],
+            "model": {**v3["config"]["model"], "rate_mode": "context",
                       "manual_rate": 1.0, "pi0_mode": "uniform", "lambda_min": 1e-6},
-            "train": {**doc["config"]["train"], "beta1": 0.9, "beta2": 0.999,
+            "train": {**v3["config"]["train"], "beta1": 0.9, "beta2": 0.999,
                       "eps_opt": 1e-8}})
-        for version, old_doc in ((1, v1), (2, v2)):
+        for version, old_doc in ((1, v1), (2, v2), (3, v3)):
             old = tmp_path / f"v{version}.json"
             old.write_text(json.dumps(old_doc, sort_keys=True))
             out = tmp_path / "pred.jsonl"
             proc = run_cli(["sample", "--checkpoint", str(old), "--data", data_path,
                             "--out", str(out)])
             assert proc.returncode == 1, proc.stderr
-            assert (f"unsupported version {version}; retrain to write version 3"
+            assert (f"unsupported version {version}; retrain to write version 4"
                     in proc.stderr)
             assert "Traceback" not in proc.stderr
             assert not out.exists()
@@ -453,10 +471,32 @@ class TestSample:
         proc = run_cli(["sample", "--checkpoint", str(big), "--data", data_path,
                         "--out", str(out)])
         assert proc.returncode == 2, proc.stderr
-        assert ("numerical abort: non-finite vector field at flow time t=0.000000"
-                in proc.stderr)
-        assert "Traceback" not in proc.stderr
+        # the message alone: no numpy warning, no traceback
+        assert proc.stderr == ("numerical abort: non-finite vector field at flow "
+                               "time t=0.000000\n")
         assert not out.exists()
+
+    def test_saturated_overflow_samples_silently(self, tmp_path, data_path):
+        # with two hidden layers the overflow of vf.1's matmul is inside a
+        # tanh, which saturates at 1: the field is finite and sampling runs
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {**SMALL_MODEL, "vf_hidden": [8, 8]}}))
+        path = tmp_path / "m.json"
+        assert main(["train", "--data", data_path, "--out", str(path), "--config",
+                     str(cfg), "--epochs", "1", "--horizon", "4"]) == 0
+        doc = json.loads(path.read_text())
+        params = doc["params"]
+        params["vf.0.W"] = with_values(params["vf.0.W"], 0.0 * values_of(params["vf.0.W"]))
+        params["vf.0.b"] = with_values(params["vf.0.b"], [1.0] * 8)
+        params["vf.1.W"] = with_values(params["vf.1.W"], [1.7e308] * 64)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "pred.jsonl"
+        proc = run_cli(["sample", "--checkpoint", str(path), "--data", data_path,
+                        "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        preds = load_jsonl(out)
+        assert preds and all(np.isfinite(p.inter_times).all() for p in preds)
 
 
 class TestSampleNoisePolicy:
@@ -550,6 +590,18 @@ class TestHist:
                    "--out-times", str(t), "--out-marks", str(m)])
         assert rc == 1
         assert "bins must be >= 1" in capsys.readouterr().err
+        assert not t.exists() and not m.exists()
+
+    # bin counts that fail the memory check before anything is allocated;
+    # 10**19 is also past numpy's largest size
+    @pytest.mark.parametrize("bins", [10**12, 10**19])
+    def test_bins_past_memory_exit_1(self, tmp_path, data_path, bins):
+        t, m = tmp_path / "t.csv", tmp_path / "m.csv"
+        proc = run_cli(["hist", "--data", data_path, "--bins", str(bins),
+                        "--out-times", str(t), "--out-marks", str(m)])
+        assert proc.returncode == 1, proc.stderr
+        assert f"histogram too large to allocate: bins={bins}" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not t.exists() and not m.exists()
 
     def test_explicit_paths(self, tmp_path, data_path):

@@ -30,8 +30,8 @@ CHI2_CRIT = {2: 9.210, 3: 11.345}
 
 
 def tiny_config(**kw):
-    base = dict(vocab_size=3, horizon=4, d=8, mark_embed_dim=4, time_embed_dim=4,
-                t_embed_dim=4, vf_hidden=(8,), head_hidden=(8,))
+    base = dict(vocab_size=3, horizon=4, d=8, t_embed_dim=4, vf_hidden=(8,),
+                head_hidden=(8,))
     base.update(kw)
     return ModelConfig(**base)
 
@@ -323,12 +323,28 @@ class TestPlainForwardParity:
         np.testing.assert_allclose(got, want, rtol=0, atol=PARITY_TOL)
 
     def test_padding_leaves_hidden_state_untouched(self):
+        # batches of the same shape whose long contexts differ only after
+        # the short one's last step: its state must not move by one bit.
+        # (Against a batch of one it may: BLAS rounds by matrix shape.)
         model = jittered_model(tiny_config(), 3)
-        short = EventSequence(np.array([0.5, 1.5]), np.array([1, 2]), 3)
-        long_ = EventSequence(np.ones(9), np.zeros(9, dtype=int), 3)
-        alone = model.encode_plain([short])
-        padded = model.encode_plain([long_, short, long_])
-        np.testing.assert_array_equal(padded[1], alone[0])
+        rng = np.random.default_rng(3)
+
+        def draw(n):
+            return rng.exponential(1.0, n), rng.integers(0, 3, n)
+
+        for _ in range(5):
+            short = random_contexts(rng, 1, 3, max_len=4)[0]
+            k = len(short)
+            long_ = [EventSequence(*draw(n), 3) for n in k + rng.integers(1, 6, 2)]
+            other = []  # long_ with every event after the k-th redrawn
+            for c in long_:
+                dts, marks = draw(len(c) - k)
+                other.append(EventSequence(np.concatenate([c.inter_times[:k], dts]),
+                                           np.concatenate([c.marks[:k], marks]), 3))
+            first = model.encode_plain([long_[0], short, long_[1]])
+            second = model.encode_plain([other[0], short, other[1]])
+            assert not np.array_equal(first[0], second[0])
+            np.testing.assert_array_equal(first[1], second[1])
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("hidden", [((8,), (8,)), ((8, 6), (5,)), ((), (4,))])
@@ -587,8 +603,7 @@ class TestLosses:
 
     def test_full_loss_gradcheck(self):
         model = Model(
-            tiny_config(d=4, mark_embed_dim=2, time_embed_dim=2, t_embed_dim=2,
-                        vf_hidden=(5,), head_hidden=(5,), horizon=2),
+            tiny_config(d=4, t_embed_dim=2, vf_hidden=(5,), head_hidden=(5,), horizon=2),
             seed=7,
         )
         windows = poisson_windows(2, horizon=2, length=5)
@@ -679,7 +694,8 @@ class TestModelCheckpoint:
         path = tmp_path / "act.json"
         model.save_checkpoint(path, {"seed": 13})
         doc = json.loads(path.read_text())
-        assert doc["version"] == 3 and "activation" not in doc["config"]["model"]
+        assert doc["version"] == nn.CHECKPOINT_VERSION
+        assert "activation" not in doc["config"]["model"]
         doc["config"]["model"]["activation"] = value
         path.write_text(json.dumps(doc, sort_keys=True))
         return model, path
@@ -691,11 +707,12 @@ class TestModelCheckpoint:
 
     @pytest.mark.parametrize("doc,named", [
         ([1, 2], "unsupported version"),
-        ({"version": 3, "config": [], "params": {}}, "missing config object"),
-        ({"version": 3, "config": {"model": "x"}, "params": {}},
+        ({"version": nn.CHECKPOINT_VERSION, "config": [], "params": {}},
+         "missing config object"),
+        ({"version": nn.CHECKPOINT_VERSION, "config": {"model": "x"}, "params": {}},
          "'model' must be an object"),
         # the model section is config["model"], never the config itself
-        ({"version": 3, "config": {"vocab_size": 3}, "params": {}},
+        ({"version": nn.CHECKPOINT_VERSION, "config": {"vocab_size": 3}, "params": {}},
          "'model' must be an object"),
     ])
     def test_malformed_document_rejected(self, tmp_path, doc, named):

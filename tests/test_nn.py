@@ -317,7 +317,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         nn.save_checkpoint(path, {}, store)
         doc = json.loads(path.read_text())
-        assert doc["version"] == nn.CHECKPOINT_VERSION == 3
+        assert doc["version"] == nn.CHECKPOINT_VERSION == 4
         assert set(doc) == {"version", "config", "params"}
         entry = doc["params"]["mlp.0.W"]
         assert entry == {"shape": [2, 2], "data": b64(store["mlp.0.W"].data)}

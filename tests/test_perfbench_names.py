@@ -8,6 +8,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from flowtpp import accel, cli, nn, sampler
@@ -53,3 +54,25 @@ def test_pipeline_argv_parses_to_its_values(name):
     assert (args.kind, tuple(args.base_rates), tuple(args.excite), args.decay) == (
         "hawkes", wl.base_rates, wl.excite, wl.decay)
     assert (args.num_seqs, args.eval_seqs, args.length) == (num, num_eval, length)
+
+
+@pytest.mark.parametrize("name", ["hawkes-batch", "long-horizon"])
+def test_tiny_pass_runs_untraced_and_traced(name, tmp_path, monkeypatch):
+    # the benchmark's own code path, at toy size: set-up, then one fixed
+    # pass plain and one under the tracer's wrappers
+    monkeypatch.syspath_prepend(PERFBENCH)  # worker imports its siblings by name
+    worker = load("worker")
+    workloads, tracing = worker.workloads, worker.tracing
+    wl = workloads.WORKLOADS[name].tiny()
+    initial = workloads.setup(wl, str(tmp_path))
+    ledger = workloads.Ledger()
+    workloads.Pass(wl, 1, initial, str(tmp_path), ledger, tracing.NullTracer()).run()
+    tr = tracing.Tracer()
+    before = worker.invariant_counts()
+    with tr.installed():
+        workloads.Pass(wl, 1, initial, str(tmp_path), ledger, tr).run()
+    after = worker.invariant_counts()
+    assert ledger.attempted > 0 and ledger.failed == 0
+    layers = worker.per_layer(tr, (after[0] - before[0], after[1] - before[1]))
+    bad = {key: value for key, value in layers.items() if not np.isfinite(value)}
+    assert not bad, f"non-finite per-layer values: {bad}"
