@@ -181,9 +181,14 @@ def _summary(columns: dict) -> str:
 
 
 def _write_report(path, doc: dict):
+    """The report as JSON; a non-finite value, which JSON cannot hold, is a
+    numerical abort that writes no file."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in report {path}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---- simulate ---------------------------------------------------------------
@@ -254,7 +259,9 @@ def cmd_sample(args, config: dict) -> int:
 def cmd_evaluate(args, config: dict) -> int:
     otd_cfg = OtdConfig.from_dict(_section(config, "otd", args))
     eval_cfg = EvaluateConfig.from_dict(_section(config, "evaluate", args))
-    report = evaluate_windows(load_jsonl(args.pred), load_jsonl(args.truth),
+    # windows pair by position, so a skipped line would misalign the rest
+    report = evaluate_windows(load_jsonl(args.pred, skip_invalid=False),
+                              load_jsonl(args.truth, skip_invalid=False),
                               otd_cfg, eval_cfg.rmse_y_mode)
     doc = {
         "version": REPORT_VERSION,

@@ -182,7 +182,8 @@ def _header_vocab_size(line: str, where: str) -> int:
     return vocab
 
 
-def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
+def load_jsonl(path, vocab_size: int | None = None,
+               skip_invalid: bool = True) -> list[EventSequence]:
     """Load an event dataset from JSON Lines.
 
     The first line must declare the mark vocabulary
@@ -190,8 +191,8 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
     times) or ``ts`` (absolute timestamps, converted on load) plus ``marks``.
     Malformed lines are hard errors naming the file and line number; lines
     violating the domain invariants (mark range, positivity) are rejected
-    per-line with a logged warning. If ``vocab_size`` is given it must match
-    the header.
+    per-line with a logged warning, or, with ``skip_invalid=False``, are
+    hard errors too. If ``vocab_size`` is given it must match the header.
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -213,6 +214,8 @@ def load_jsonl(path, vocab_size: int | None = None) -> list[EventSequence]:
             dts = obj["dts"] if "dts" in obj else to_inter_event(obj["ts"])
             seq = EventSequence(dts, obj["marks"], declared)
         except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+            if not skip_invalid:
+                raise ValidationError(f"{where} rejected: {exc}") from exc
             log.warning("%s rejected: %s", where, exc)
             continue
         sequences.append(seq)

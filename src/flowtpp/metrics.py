@@ -13,12 +13,13 @@ only the forecast horizon, so both streams are aligned from the cut point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import Config, ValidationError, check_memory
+from .errors import Config, NumericalError, ValidationError, check_memory
 from .events import EventSequence
 
 
@@ -100,7 +101,10 @@ def rmse_y(pred: EventSequence, truth: EventSequence,
 
 def smape(pred: EventSequence, truth: EventSequence) -> float:
     a, b = _paired(pred, truth, "inter_times")
-    return float(100.0 * np.mean(2.0 * np.abs(a - b) / (np.abs(a) + np.abs(b))))
+    # the halves keep the sum finite up to the largest float; the floor
+    # only acts when a == b == 5e-324, whose halves round to 0
+    half_sum = np.maximum(0.5 * np.abs(a) + 0.5 * np.abs(b), 5e-324)
+    return float(100.0 * np.mean(np.abs(a - b) / half_sum))
 
 
 def aggregate(columns: dict) -> dict:
@@ -129,7 +133,8 @@ class MetricReport:
 
 def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
                      rmse_y_mode: str = EvaluateConfig.rmse_y_mode) -> MetricReport:
-    """All four metrics per (pred, truth) pair plus mean and s.d. columns."""
+    """All four metrics per (pred, truth) pair plus mean and s.d. columns.
+    A non-finite value raises NumericalError naming the metric and window."""
     if len(preds) != len(truths):
         raise ValidationError(
             f"window count mismatch: {len(preds)} predictions, {len(truths)} truths"
@@ -137,11 +142,13 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
     if not preds:
         raise ValidationError("nothing to evaluate")
     per = {"otd": [], "rmse_x": [], "rmse_y": [], "smape": []}
-    for p, t in zip(preds, truths):
-        per["otd"].append(otd(p, t, otd_cfg))
-        per["rmse_x"].append(rmse_x(p, t))
-        per["rmse_y"].append(rmse_y(p, t, rmse_y_mode))
-        per["smape"].append(smape(p, t))
+    for i, (p, t) in enumerate(zip(preds, truths)):
+        scores = (otd(p, t, otd_cfg), rmse_x(p, t), rmse_y(p, t, rmse_y_mode),
+                  smape(p, t))
+        for (name, column), value in zip(per.items(), scores):
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite {name} in window {i}: {value}")
+            column.append(value)
     return MetricReport(per_window=per, aggregate=aggregate(per),
                         window_count=len(preds))
 

@@ -14,7 +14,7 @@ import flowtpp
 from flowtpp import Model, ModelConfig, SamplerConfig, load_jsonl
 from flowtpp import cli, nn
 from flowtpp.cli import SimulateConfig, main
-from flowtpp.errors import ValidationError
+from flowtpp.errors import NumericalError, ValidationError
 from flowtpp.metrics import EvaluateConfig, OtdConfig
 from flowtpp.model import TrainConfig
 
@@ -568,6 +568,49 @@ class TestEvaluate:
         rc = main(["evaluate", "--pred", data_path, "--truth", truth,
                    "--out", str(tmp_path / "r.json")])
         assert rc == 1
+
+    @staticmethod
+    def write_lines(path, rows):
+        path.write_text("\n".join([json.dumps({"meta": {"vocab_size": 2}}),
+                                   *map(json.dumps, rows)]) + "\n")
+        return str(path)
+
+    def test_rejected_line_exits_1(self, tmp_path):
+        # skipping pred line 2 and truth line 4 would score pred line 4
+        # against truth line 3, since windows pair by position
+        pred = self.write_lines(tmp_path / "p.jsonl", [
+            {"dts": [1.0, -2.0], "marks": [0, 1]},
+            {"dts": [1.0, 2.0], "marks": [0, 1]},
+            {"dts": [1.5, 2.0], "marks": [1, 1]}])
+        truth = self.write_lines(tmp_path / "t.jsonl", [
+            {"dts": [1.0, 2.0], "marks": [0, 1]},
+            {"dts": [1.0, 2.0], "marks": [0, 0]},
+            {"dts": [1.0, 2.0], "marks": [7, 1]}])
+        good = self.write_lines(tmp_path / "g.jsonl", [{"dts": [1.0, 2.0], "marks": [0, 1]}] * 3)
+        out = tmp_path / "r.json"
+        for pred_path, truth_path, where in ((pred, truth, f"{pred} line 2"),
+                                             (good, truth, f"{truth} line 4")):
+            proc = run_cli(["evaluate", "--pred", pred_path, "--truth", truth_path,
+                            "--out", str(out)])
+            assert proc.returncode == 1, proc.stderr
+            assert f"error: {where} rejected: " in proc.stderr
+            assert not out.exists()
+
+    def test_non_finite_report_exits_2(self, tmp_path):
+        # 2*|1e308 - 1| overflowed smape; squaring it overflows rmse_x
+        pred = self.write_lines(tmp_path / "p.jsonl", [{"dts": [1e308, 1e308], "marks": [0, 1]}])
+        truth = self.write_lines(tmp_path / "t.jsonl", [{"dts": [1.0, 2.0], "marks": [0, 1]}])
+        out = tmp_path / "r.json"
+        proc = run_cli(["evaluate", "--pred", pred, "--truth", truth, "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "numerical abort: non-finite rmse_x in window 0: inf\n"
+        assert not out.exists()
+
+    def test_report_refuses_non_finite_values(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(NumericalError, match="non-finite value in report"):
+            cli._write_report(out, {"aggregate": {"otd": {"mean": float("inf")}}})
+        assert not out.exists()
 
 
 class TestHist:

@@ -1,7 +1,10 @@
-"""The kernels must return exactly what the element-by-element loops in
-``kernel_reference`` return: every float operation is the same IEEE
-operation in the same order, so datasets, forecasts and reports stay
-byte-identical."""
+"""The kernels against the element-by-element loops in ``kernel_reference``.
+
+``hawkes_thinning`` must return exactly what its loop returns: every float
+operation is the same IEEE operation in the same order, so datasets stay
+byte-identical. ``otd_align`` finds the same optimum as the full grid but
+sums in another order, so it must agree to ``OTD_RTOL * max(1, cost)``,
+and exactly wherever the sums are exact."""
 
 import hashlib
 
@@ -14,7 +17,15 @@ from conftest import brute_force_otd, dyadic_arrivals
 from flowtpp import HawkesSpec, simulate_hawkes
 from flowtpp.kernels import hawkes_thinning, otd_align
 
-DELETE_COSTS = st.sampled_from([0.3, 1.0, 1.7, 2.5, 0.1 + 0.2])
+DELETE_COST_VALUES = (0.3, 1.0, 1.7, 2.5, 0.1 + 0.2)
+DELETE_COSTS = st.sampled_from(DELETE_COST_VALUES)
+OTD_RTOL = 1e-12
+
+
+def assert_close_to_reference(case):
+    got, want = otd_align(*case), ref.otd_align(*case)
+    # equal infinite costs pass too
+    assert got == want or abs(got - want) <= OTD_RTOL * max(1.0, want), (got, want)
 
 
 @st.composite
@@ -59,9 +70,47 @@ def thin(kernel, spec, n_events, uniforms):
 class TestOtdAlign:
     @given(alignment_case())
     def test_matches_reference(self, case):
-        got = otd_align(*case)
-        want = ref.otd_align(*case)
-        assert got == want, (got, want)
+        assert_close_to_reference(case)
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.floats(1e-4, 0.05),
+           st.integers(0, 2**32 - 1), DELETE_COSTS)
+    def test_every_pair_a_candidate(self, n, m, scale, seed, cost):
+        # one mark and gaps far below the cost: every band spans its whole
+        # row, so a band end off by one drops a match
+        rng = np.random.default_rng(seed)
+        a_t = np.cumsum(rng.uniform(0.5, 1.0, n) * scale)
+        b_t = np.cumsum(rng.uniform(0.5, 1.0, m) * scale)
+        assert_close_to_reference(
+            (a_t, np.zeros(n, np.int64), b_t, np.zeros(m, np.int64), cost))
+
+    @given(marked_stream(40, 3))
+    def test_identical_streams_cost_zero(self, stream):
+        times, marks = stream
+        for cost in DELETE_COST_VALUES:
+            assert otd_align(times, marks, times, marks, cost) == 0.0
+
+    @given(marked_stream(8, 3), st.lists(st.floats(1e-6, 10.0), min_size=8, max_size=8),
+           st.integers(0, 8))
+    def test_cost_past_half_the_largest_float(self, stream, gaps, drop):
+        # 2d overflows, so every gain is infinite and the pair count and
+        # the sum of |dt| must decide; b has a's marks, less the one at
+        # drop if there is one, so a matching with at most one deletion
+        # has a finite cost
+        times, marks = stream
+        other_marks = np.delete(marks, drop) if drop < len(marks) else marks
+        other = np.cumsum(np.array(gaps[:len(other_marks)]))
+        with np.errstate(over="ignore"):
+            assert_close_to_reference((times, marks, other, other_marks, 1e308))
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 3))
+    def test_empty_side_deletes_everything(self, n, m, vocab):
+        rng = np.random.default_rng([n, m, vocab])
+        for a_len, b_len in ((n, 0), (0, m)):
+            case = (dyadic_arrivals(rng, a_len), rng.integers(0, vocab, a_len),
+                    dyadic_arrivals(rng, b_len), rng.integers(0, vocab, b_len))
+            for cost in (0.25, 0.3, 1.75):
+                assert otd_align(*case, cost) == ref.otd_align(*case, cost)
+                assert otd_align(*case, cost) == brute_force_otd(*case, cost)
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3),
            st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0, 1.75]))
@@ -71,6 +120,20 @@ class TestOtdAlign:
         rng = np.random.default_rng(seed)
         a_t, b_t = dyadic_arrivals(rng, n), dyadic_arrivals(rng, m)
         a_m, b_m = rng.integers(0, vocab, n), rng.integers(0, vocab, m)
+        assert otd_align(a_t, a_m, b_t, b_m, cost) == brute_force_otd(
+            a_t, a_m, b_t, b_m, cost)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.25, 0.5, 1.0, 1.75]))
+    def test_band_edges_on_dyadic_times(self, n, seed, cost):
+        # b's events sit exactly 2d from one of a's, or one grid step inside
+        # that: a pair at |dt| = 2d gains nothing, one inside it does
+        rng = np.random.default_rng(seed)
+        a_t = dyadic_arrivals(rng, n)
+        shifts = rng.choice([-2 * cost, -2 * cost + 1 / 64, 2 * cost - 1 / 64,
+                             2 * cost], size=n)
+        b_t = np.unique(np.clip(a_t + shifts, 1 / 64, None))
+        a_m, b_m = rng.integers(0, 2, n), rng.integers(0, 2, len(b_t))
         assert otd_align(a_t, a_m, b_t, b_m, cost) == brute_force_otd(
             a_t, a_m, b_t, b_m, cost)
 

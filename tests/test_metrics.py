@@ -6,6 +6,7 @@ import pytest
 from conftest import brute_force_otd, dyadic_arrivals
 from flowtpp import (
     EventSequence,
+    NumericalError,
     OtdConfig,
     ValidationError,
     evaluate_windows,
@@ -181,6 +182,26 @@ class TestSmape:
         dts = rng.exponential(1.0, 10) + 1e-9
         s = EventSequence(dts, np.zeros(10, dtype=int), 1)
         assert smape(s, s) == 0.0
+        # half of the smallest subnormal rounds to 0
+        tiny = EventSequence(np.array([5e-324, 1e-323]), np.zeros(2, dtype=int), 1)
+        assert smape(tiny, tiny) == 0.0
+
+    def test_same_bits_as_the_unhalved_formula(self, rng):
+        # |a-b| / (|a|/2 + |b|/2) is 2|a-b| / (|a|+|b|) with both halvings
+        # exact, wherever the latter is finite
+        marks = np.zeros(50, dtype=int)
+        for _ in range(400):
+            a, b = (np.exp(rng.uniform(-690.0, 690.0)) * rng.uniform(0.1, 10.0, 50)
+                    for _ in range(2))
+            old = 100.0 * np.mean(2.0 * np.abs(a - b) / (np.abs(a) + np.abs(b)))
+            assert smape(EventSequence(a, marks, 1), EventSequence(b, marks, 1)) == old
+
+    def test_finite_near_the_largest_float(self):
+        marks = np.zeros(3, dtype=int)
+        big = EventSequence(np.array([1e308, 1.7e308, 1.0]), marks, 1)
+        other = EventSequence(np.array([1.0, 1.6e308, 1e308]), marks, 1)
+        val = smape(big, other)
+        assert np.isfinite(val) and 0.0 <= val <= 200.0
 
 
 class TestEvaluateWindows:
@@ -234,6 +255,14 @@ class TestEvaluateWindows:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_windows([], [])
+
+    def test_non_finite_value_names_metric_and_window(self):
+        pairs = self.make_pairs(3)
+        # arrival times overflow: rmse_x is infinite, the other three finite
+        huge = EventSequence(np.full(5, 1e308), pairs[1][0].marks, 2)
+        with pytest.raises(NumericalError, match="non-finite rmse_x in window 1: inf"), \
+                np.errstate(over="ignore"):
+            evaluate_windows([pairs[0][0], huge, pairs[2][0]], [t for _, t in pairs])
 
     def test_perfect_prediction_scores_zero(self):
         truths = [t for _, t in self.make_pairs(4, seed=9)]
