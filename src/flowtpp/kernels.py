@@ -91,12 +91,13 @@ def otd_align(a_times, a_marks, b_times, b_marks, delete_cost):
     The cost is d*(n + m) minus the largest total gain sum(2d - |dt|) over
     matchings, and only a pair with |dt| < 2d gains anything. Row i's such
     columns form one interval [lo_i, hi_i), found by binary search, and
-    both ends are non-decreasing in i. ``gain[k]`` holds the best gain
-    over the columns before k, and ``held[k]`` its (pairs, -sum|dt|),
-    which break exact ties. Row i changes only the cells in (lo_i, hi_i];
-    beyond the farthest hi so far every cell equals the last one, so cells
-    are filled only when a band reaches them. Work is the sum of the band
-    widths: typically O(n * band), O(n * m) when every pair is within 2d.
+    both ends are non-decreasing in i. ``best[k]`` holds the best
+    (gain, pairs, -sum|dt|) over the columns before k; tuple order breaks
+    exact gain ties by more pairs, then by the smaller sum. Row i changes
+    only the cells in (lo_i, hi_i]; beyond the farthest hi so far every
+    cell equals the last one, so cells are filled only when a band reaches
+    them. Work is the sum of the band widths: typically O(n * band),
+    O(n * m) when every pair is within 2d.
 
     Returns d*(n + m - 2*pairs) + sum|dt| of the chosen matching, which is
     exact wherever the sums are (dyadic inputs, or identical streams).
@@ -109,30 +110,29 @@ def otd_align(a_times, a_marks, b_times, b_marks, delete_cost):
     his = np.searchsorted(b_times, a_times + two_d, "right").tolist()
     # shifted by one, so that column k of the grid reads b's event k - 1
     bt, bm = [0.0, *b_times.tolist()], [-1, *b_marks.tolist()]
-    gain, held = [0.0] * (m + 1), [(0, 0.0)] * (m + 1)
+    best = [(0.0, 0, 0.0)] * (m + 1)
     reach = 0
     for ta, ma, lo, hi in zip(a_times.tolist(), a_marks.tolist(), los, his):
         if lo >= hi:
             continue
         if hi > reach:
-            gain[reach + 1:hi + 1] = [gain[reach]] * (hi - reach)
-            held[reach + 1:hi + 1] = [held[reach]] * (hi - reach)
+            best[reach + 1:hi + 1] = [best[reach]] * (hi - reach)
             reach = hi
-        diag_g = left_g = gain[lo]
-        diag_h = left_h = held[lo]
+        diag = left = best[lo]
         for k in range(lo + 1, hi + 1):
-            up_g, up_h = gain[k], held[k]
-            if up_g > left_g or up_g == left_g and up_h > left_h:
-                left_g, left_h = up_g, up_h
+            up = best[k]
+            if up > left:
+                left = up
             if bm[k] == ma:
                 dt = abs(ta - bt[k])
                 if dt < two_d:
-                    cand_g = diag_g + (two_d - dt)
-                    if cand_g >= left_g:
-                        cand_h = (diag_h[0] + 1, diag_h[1] - dt)
-                        if cand_g > left_g or cand_h > left_h:
-                            left_g, left_h = cand_g, cand_h
-            gain[k], held[k] = left_g, left_h
-            diag_g, diag_h = up_g, up_h
-    pairs, neg_sum = held[reach]
+                    gain = diag[0] + (two_d - dt)
+                    # a tuple only for a candidate that can win
+                    if gain >= left[0]:
+                        cand = (gain, diag[1] + 1, diag[2] - dt)
+                        if cand > left:
+                            left = cand
+            best[k] = left
+            diag = up
+    _, pairs, neg_sum = best[reach]
     return d * (n + m - 2 * pairs) - neg_sum

@@ -55,66 +55,75 @@ def _vocab(pred: EventSequence, truth: EventSequence) -> int:
     return pred.vocab_size
 
 
+def _paired(pred: EventSequence, truth: EventSequence) -> int:
+    """The length of two non-empty sequences scored position by position."""
+    n = len(pred)
+    if n != len(truth):
+        raise ValidationError(f"length mismatch: pred has {n} events, truth {len(truth)}")
+    if n == 0:
+        raise ValidationError("cannot score empty sequences position-wise")
+    return n
+
+
+# Each mean below is np.add.reduce(x) / n, the operations np.mean runs on a
+# 1-d float array, so every value has np.mean's bits.
+
+def _rmse_x(diff: np.ndarray, n: int) -> float:
+    return math.sqrt(np.add.reduce(diff * diff) / n)
+
+
+def _rmse_y(pred: EventSequence, truth: EventSequence, mode: str) -> float:
+    # integer counts: their sums are exact, as the float sums were
+    if mode == "counts":
+        m = pred.vocab_size
+        delta = np.bincount(pred.marks, minlength=m) - np.bincount(truth.marks, minlength=m)
+        return math.sqrt(int(delta @ delta) / m)
+    if mode == "position":
+        return math.sqrt(np.count_nonzero(pred.marks != truth.marks) / _paired(pred, truth))
+    raise ValidationError(f"rmse_y mode must be one of {RMSE_Y_MODES}, got {mode!r}")
+
+
+def _smape(pred: EventSequence, truth: EventSequence, diff: np.ndarray, n: int) -> float:
+    # the times a and b are positive, so |a| is a. The halves keep the sum
+    # finite; the floor acts only when a == b == 5e-324, whose halves round to 0
+    half_sum = np.maximum(0.5 * pred.inter_times + 0.5 * truth.inter_times, 5e-324)
+    return 100.0 * (float(np.add.reduce(np.abs(diff) / half_sum)) / n)
+
+
 def otd(pred: EventSequence, truth: EventSequence,
         cfg: OtdConfig = OtdConfig()) -> float:
     """Minimum alignment cost between two event streams."""
     _vocab(pred, truth)
-    return float(
-        kernels.otd_align(
-            pred.arrival_times(), pred.marks,
-            truth.arrival_times(), truth.marks,
-            cfg.delete_cost,
-        )
-    )
-
-
-def _paired(pred: EventSequence, truth: EventSequence, field: str) -> tuple:
-    """field of two non-empty sequences of equal length, position by position."""
-    if len(pred) != len(truth):
-        raise ValidationError(
-            f"length mismatch: pred has {len(pred)} events, truth {len(truth)}"
-        )
-    if len(pred) == 0:
-        raise ValidationError("cannot score empty sequences position-wise")
-    return getattr(pred, field), getattr(truth, field)
+    return kernels.otd_align(pred.arrival_times(), pred.marks,
+                             truth.arrival_times(), truth.marks, cfg.delete_cost)
 
 
 def rmse_x(pred: EventSequence, truth: EventSequence) -> float:
-    a, b = _paired(pred, truth, "inter_times")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return _rmse_x(pred.inter_times - truth.inter_times, _paired(pred, truth))
 
 
 def rmse_y(pred: EventSequence, truth: EventSequence,
            mode: str = EvaluateConfig.rmse_y_mode) -> float:
     """Mark error. "counts" compares per-type totals over the horizon;
     "position" is the square root of the label mismatch rate."""
-    m = _vocab(pred, truth)
-    if mode == "counts":
-        cp = np.bincount(pred.marks, minlength=m).astype(np.float64)
-        ct = np.bincount(truth.marks, minlength=m).astype(np.float64)
-        return float(np.sqrt(np.mean((cp - ct) ** 2)))
-    if mode == "position":
-        a, b = _paired(pred, truth, "marks")
-        return float(np.sqrt(np.mean(a != b)))
-    raise ValidationError(f"rmse_y mode must be one of {RMSE_Y_MODES}, got {mode!r}")
+    _vocab(pred, truth)
+    return _rmse_y(pred, truth, mode)
 
 
 def smape(pred: EventSequence, truth: EventSequence) -> float:
-    a, b = _paired(pred, truth, "inter_times")
-    # the halves keep the sum finite up to the largest float; the floor
-    # only acts when a == b == 5e-324, whose halves round to 0
-    half_sum = np.maximum(0.5 * np.abs(a) + 0.5 * np.abs(b), 5e-324)
-    return float(100.0 * np.mean(np.abs(a - b) / half_sum))
+    return _smape(pred, truth, pred.inter_times - truth.inter_times, _paired(pred, truth))
 
 
 def aggregate(columns: dict) -> dict:
-    """{name: {"mean", "sd"}} over each column of values, as one array
-    operation; the result depends only on the multiset of each column."""
+    """{name: {"mean", "sd"}} over each column of values: the ufuncs that
+    np.mean and np.std run, in their order, on all columns at once."""
     table = np.array(list(columns.values()))
-    return {
-        name: {"mean": float(mean), "sd": float(sd)}
-        for name, mean, sd in zip(columns, table.mean(axis=1), table.std(axis=1))
-    }
+    n = table.shape[1]
+    means = np.add.reduce(table, axis=1, keepdims=True) / n
+    dev = table - means
+    sds = np.sqrt(np.add.reduce(dev * dev, axis=1) / n)
+    return {name: {"mean": mean, "sd": sd}
+            for name, mean, sd in zip(columns, means[:, 0].tolist(), sds.tolist())}
 
 
 @dataclass
@@ -133,8 +142,8 @@ class MetricReport:
 
 def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
                      rmse_y_mode: str = EvaluateConfig.rmse_y_mode) -> MetricReport:
-    """All four metrics per (pred, truth) pair plus mean and s.d. columns.
-    A non-finite value raises NumericalError naming the metric and window."""
+    """All four metrics per pair, each with its own function's bits, plus mean
+    and s.d. columns. A mismatch or a non-finite value names its window."""
     if len(preds) != len(truths):
         raise ValidationError(
             f"window count mismatch: {len(preds)} predictions, {len(truths)} truths"
@@ -143,8 +152,13 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
         raise ValidationError("nothing to evaluate")
     per = {"otd": [], "rmse_x": [], "rmse_y": [], "smape": []}
     for i, (p, t) in enumerate(zip(preds, truths)):
-        scores = (otd(p, t, otd_cfg), rmse_x(p, t), rmse_y(p, t, rmse_y_mode),
-                  smape(p, t))
+        try:
+            cost = otd(p, t, otd_cfg)  # checks the vocabularies
+            n = _paired(p, t)
+        except ValidationError as exc:
+            raise ValidationError(f"window {i}: {exc}") from None
+        diff = p.inter_times - t.inter_times
+        scores = (cost, _rmse_x(diff, n), _rmse_y(p, t, rmse_y_mode), _smape(p, t, diff, n))
         for (name, column), value in zip(per.items(), scores):
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite {name} in window {i}: {value}")

@@ -26,7 +26,9 @@ INVARIANT_COUNTS = {"checks": 0, "violations": 0}
 _T_SINGULARITY = 1e-9
 EPS_TIME = 1e-6  # floor of every sampled inter-event time
 EPS_PROB = 1e-5  # floor of each mark's redraw probability before normalizing
-CHUNK_SIZE = 256  # windows integrated together; output does not depend on it
+# windows integrated together; each draws from its own stream, so the size
+# changes only rounding: times agree to a relative 1e-12 (README "Determinism")
+CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
-"""Reference kernels that index numpy arrays one element at a time. The
-kernels in :mod:`flowtpp.kernels` must return exactly what these return."""
+"""Reference kernels for :mod:`flowtpp.kernels`.
+
+``hawkes_thinning`` and ``otd_align`` index numpy arrays one element at a
+time; ``otd_band`` is the band alignment with its gains and tie-breaks in
+two parallel lists. ``kernels.hawkes_thinning`` must return exactly what
+its loop returns and ``kernels.otd_align`` exactly what ``otd_band``
+returns; ``kernels.otd_align`` sums in another order than the full grid,
+so it agrees with that to a tolerance."""
 
 import numpy as np
 
@@ -96,3 +102,42 @@ def otd_align(a_times, a_marks, b_times, b_marks, delete_cost):
                     best = match
             grid[i, j] = best
     return grid[n, m]
+
+
+def otd_band(a_times, a_marks, b_times, b_marks, delete_cost):
+    """The band alignment of ``kernels.otd_align``, with ``gain[k]`` the best
+    gain over the columns before k and ``held[k]`` its (pairs, -sum|dt|),
+    compared field by field."""
+    d = float(delete_cost)
+    two_d = 2.0 * d
+    n, m = len(a_times), len(b_times)
+    los = np.searchsorted(b_times, a_times - two_d, "left").tolist()
+    his = np.searchsorted(b_times, a_times + two_d, "right").tolist()
+    bt, bm = [0.0, *b_times.tolist()], [-1, *b_marks.tolist()]
+    gain, held = [0.0] * (m + 1), [(0, 0.0)] * (m + 1)
+    reach = 0
+    for ta, ma, lo, hi in zip(a_times.tolist(), a_marks.tolist(), los, his):
+        if lo >= hi:
+            continue
+        if hi > reach:
+            gain[reach + 1:hi + 1] = [gain[reach]] * (hi - reach)
+            held[reach + 1:hi + 1] = [held[reach]] * (hi - reach)
+            reach = hi
+        diag_g = left_g = gain[lo]
+        diag_h = left_h = held[lo]
+        for k in range(lo + 1, hi + 1):
+            up_g, up_h = gain[k], held[k]
+            if up_g > left_g or up_g == left_g and up_h > left_h:
+                left_g, left_h = up_g, up_h
+            if bm[k] == ma:
+                dt = abs(ta - bt[k])
+                if dt < two_d:
+                    cand_g = diag_g + (two_d - dt)
+                    if cand_g >= left_g:
+                        cand_h = (diag_h[0] + 1, diag_h[1] - dt)
+                        if cand_g > left_g or cand_h > left_h:
+                            left_g, left_h = cand_g, cand_h
+            gain[k], held[k] = left_g, left_h
+            diag_g, diag_h = up_g, up_h
+    pairs, neg_sum = held[reach]
+    return d * (n + m - 2 * pairs) - neg_sum

@@ -570,8 +570,8 @@ class TestEvaluate:
         assert rc == 1
 
     @staticmethod
-    def write_lines(path, rows):
-        path.write_text("\n".join([json.dumps({"meta": {"vocab_size": 2}}),
+    def write_lines(path, rows, vocab=2):
+        path.write_text("\n".join([json.dumps({"meta": {"vocab_size": vocab}}),
                                    *map(json.dumps, rows)]) + "\n")
         return str(path)
 
@@ -594,6 +594,20 @@ class TestEvaluate:
                             "--out", str(out)])
             assert proc.returncode == 1, proc.stderr
             assert f"error: {where} rejected: " in proc.stderr
+            assert not out.exists()
+
+    def test_mismatched_pair_names_its_window(self, tmp_path):
+        rows = [{"dts": [1.0, 2.0], "marks": [0, 1]}] * 2
+        truth = self.write_lines(tmp_path / "t.jsonl", rows)
+        longer = self.write_lines(tmp_path / "p.jsonl", [
+            rows[0], {"dts": [1.0, 2.0, 0.5], "marks": [0, 1, 1]}])
+        wider = self.write_lines(tmp_path / "w.jsonl", rows, vocab=3)
+        out = tmp_path / "r.json"
+        for pred, message in ((longer, "window 1: length mismatch: pred has 3 events, truth 2"),
+                              (wider, "window 0: vocab_size mismatch: 3 vs 2")):
+            proc = run_cli(["evaluate", "--pred", pred, "--truth", truth, "--out", str(out)])
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr == f"error: {message}\n"
             assert not out.exists()
 
     def test_non_finite_report_exits_2(self, tmp_path):

@@ -1,10 +1,12 @@
-"""The kernels against the element-by-element loops in ``kernel_reference``.
+"""The kernels against the loops in ``kernel_reference``.
 
 ``hawkes_thinning`` must return exactly what its loop returns: every float
 operation is the same IEEE operation in the same order, so datasets stay
 byte-identical. ``otd_align`` finds the same optimum as the full grid but
 sums in another order, so it must agree to ``OTD_RTOL * max(1, cost)``,
-and exactly wherever the sums are exact."""
+and exactly wherever the sums are exact. It must return the bits of
+``otd_band``, the same band loop with its gains and tie-breaks in two
+lists."""
 
 import hashlib
 
@@ -136,6 +138,48 @@ class TestOtdAlign:
         a_m, b_m = rng.integers(0, 2, n), rng.integers(0, 2, len(b_t))
         assert otd_align(a_t, a_m, b_t, b_m, cost) == brute_force_otd(
             a_t, a_m, b_t, b_m, cost)
+
+
+def assert_same_bits_as_band(case):
+    got, want = otd_align(*case), ref.otd_band(*case)
+    assert got.hex() == want.hex(), (got, want)
+
+
+class TestOtdTupleKeys:
+    """One (gain, pairs, -sum|dt|) tuple per cell, ordered as tuples, picks
+    the matching that the two-list loop picks, exact ties included. Where
+    every sum is exact, matchings of equal gain cost the same; with
+    d = 1e308 every gain is infinite, so the tie-breaks alone decide."""
+
+    @given(alignment_case())
+    def test_random_streams(self, case):
+        assert_same_bits_as_band(case)
+
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0, 1.75, 1e308]))
+    def test_dyadic_arrivals(self, n, m, vocab, seed, cost):
+        rng = np.random.default_rng(seed)
+        assert_same_bits_as_band((dyadic_arrivals(rng, n), rng.integers(0, vocab, n),
+                                  dyadic_arrivals(rng, m), rng.integers(0, vocab, m), cost))
+
+    @given(st.integers(1, 12), st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0, 1e308]))
+    def test_equal_gains(self, n, shift, cost):
+        # one mark, a on a grid of 1/2 and b shifted by `shift` quarters:
+        # with shift 1, event i of a is as close to i as to i + 1 of b
+        a_t = np.arange(1, n + 1) / 2.0
+        b_t = a_t + shift / 4.0
+        marks = np.zeros(n, np.int64)
+        assert_same_bits_as_band((a_t, marks, b_t, marks, cost))
+
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.25, 1.0, 1.75, 1e308]))
+    def test_all_candidates(self, n, m, seed, cost):
+        # one mark and dyadic gaps of at most 1/256: every pair is within 2d
+        rng = np.random.default_rng(seed)
+        a_t = np.cumsum(rng.integers(1, 5, n)) / 1024.0
+        b_t = np.cumsum(rng.integers(1, 5, m)) / 1024.0
+        assert_same_bits_as_band((a_t, np.zeros(n, np.int64), b_t,
+                                  np.zeros(m, np.int64), cost))
 
 
 class TestHawkesThinning:

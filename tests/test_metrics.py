@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_force_otd, dyadic_arrivals
 from flowtpp import (
@@ -16,6 +18,8 @@ from flowtpp import (
     smape,
 )
 from flowtpp.metrics import (
+    RMSE_Y_MODES,
+    aggregate,
     distribution_summary,
     histogram_tv,
     write_mark_frequency_csv,
@@ -256,6 +260,23 @@ class TestEvaluateWindows:
         with pytest.raises(ValidationError):
             evaluate_windows([], [])
 
+    def test_mismatched_pair_names_its_window(self):
+        pairs = self.make_pairs(3)
+        preds, truths = [p for p, _ in pairs], [t for _, t in pairs]
+        short = EventSequence(np.ones(4), np.zeros(4, dtype=int), 2)
+        wide = EventSequence(np.ones(5), np.zeros(5, dtype=int), 3)
+        empty = EventSequence(np.zeros(0), np.zeros(0, dtype=int), 2)
+        for i, pred, message in (
+                (1, short, "window 1: length mismatch: pred has 4 events, truth 5"),
+                (2, wide, "window 2: vocab_size mismatch: 3 vs 2")):
+            bad = preds[:i] + [pred] + preds[i + 1:]
+            with pytest.raises(ValidationError) as err:
+                evaluate_windows(bad, truths)
+            assert str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            evaluate_windows([preds[0], empty], [truths[0], empty])
+        assert str(err.value) == "window 1: cannot score empty sequences position-wise"
+
     def test_non_finite_value_names_metric_and_window(self):
         pairs = self.make_pairs(3)
         # arrival times overflow: rmse_x is infinite, the other three finite
@@ -269,6 +290,104 @@ class TestEvaluateWindows:
         report = evaluate_windows(truths, truths)
         for name in ("otd", "rmse_x", "rmse_y", "smape"):
             assert report.aggregate[name]["mean"] == 0.0
+
+
+# Inter-time regimes: subnormal multiples of 2**-1074, ordinary gaps, gaps
+# within a factor of 2 of the largest float, and a mix of the three.
+GAP_REGIMES = {
+    "subnormal": lambda rng, n: rng.integers(1, 2**52, n) * 5e-324,
+    "ordinary": lambda rng, n: rng.uniform(1e-3, 10.0, n),
+    "huge": lambda rng, n: rng.uniform(0.5, 1.0, n) * np.finfo(float).max,
+}
+
+
+def draw_gaps(rng, regime, n):
+    if regime in GAP_REGIMES:
+        return GAP_REGIMES[regime](rng, n)
+    pick = rng.integers(0, len(GAP_REGIMES), n)
+    return np.choose(pick, [make(rng, n) for make in GAP_REGIMES.values()])
+
+
+def np_mean_metrics(pred, truth, mode):
+    """rmse_x, rmse_y and smape as np.mean and float arrays write them."""
+    a, b = pred.inter_times, truth.inter_times
+    m = pred.vocab_size
+    if mode == "counts":
+        cp = np.bincount(pred.marks, minlength=m).astype(np.float64)
+        ct = np.bincount(truth.marks, minlength=m).astype(np.float64)
+        y = np.sqrt(np.mean((cp - ct) ** 2))
+    else:
+        y = np.sqrt(np.mean(pred.marks != truth.marks))
+    half_sum = np.maximum(0.5 * np.abs(a) + 0.5 * np.abs(b), 5e-324)
+    return (float(np.sqrt(np.mean((a - b) ** 2))), float(y),
+            float(100.0 * np.mean(np.abs(a - b) / half_sum)))
+
+
+@st.composite
+def scored_windows(draw):
+    """1-3 (pred, truth) pairs of one length in 1..300, which crosses the
+    8- and 128-element blocks of numpy's pairwise sum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    vocab = draw(st.integers(1, 4))
+    regimes = st.sampled_from([*GAP_REGIMES, "mixed"])
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        truth = draw_gaps(rng, draw(regimes), n)
+        pred = draw_gaps(rng, draw(regimes), n)
+        # a share of equal positions keeps rmse_x finite with huge gaps
+        shared = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        pred[shared] = truth[shared]
+        pairs.append(tuple(EventSequence(gaps, rng.integers(0, vocab, n), vocab)
+                           for gaps in (pred, truth)))
+    return pairs
+
+
+def bits(value):
+    return float(value).hex()
+
+
+class TestFusedScoring:
+    """evaluate_windows scores each pair in one pass; every value must be
+    the bits of the metric's own function and of its np.mean formula."""
+
+    @given(scored_windows(), st.sampled_from(RMSE_Y_MODES),
+           st.sampled_from([0.25, 1.0, 1.7]))
+    def test_values_are_the_standalone_metrics(self, pairs, mode, cost):
+        cfg = OtdConfig(delete_cost=cost)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [(otd(p, t, cfg), rmse_x(p, t), rmse_y(p, t, mode), smape(p, t))
+                    for p, t in pairs]
+            for (p, t), row in zip(pairs, rows):
+                assert list(map(bits, row[1:])) == list(map(bits, np_mean_metrics(p, t, mode)))
+            bad = [(i, name, value) for i, row in enumerate(rows)
+                   for name, value in zip(("otd", "rmse_x", "rmse_y", "smape"), row)
+                   if not np.isfinite(value)]
+            if bad:
+                i, name, value = bad[0]
+                with pytest.raises(NumericalError) as err:
+                    evaluate_windows(*zip(*pairs), cfg, mode)
+                assert str(err.value) == f"non-finite {name} in window {i}: {value}"
+                return
+            report = evaluate_windows(*zip(*pairs), cfg, mode)
+            for column, (name, got) in enumerate(report.per_window.items()):
+                want = [row[column] for row in rows]
+                assert list(map(bits, got)) == list(map(bits, want)), name
+                assert (bits(report.aggregate[name]["mean"]),
+                        bits(report.aggregate[name]["sd"])) == (
+                    bits(np.mean(want)), bits(np.std(want)))
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from([*GAP_REGIMES, "mixed"]))
+    def test_aggregate_is_np_mean_and_np_std(self, n, seed, regime):
+        rng = np.random.default_rng(seed)
+        columns = {"a": draw_gaps(rng, regime, n).tolist(),
+                   "b": draw_gaps(rng, "ordinary", n).tolist()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = aggregate(columns)
+            for name, values in columns.items():
+                assert (bits(got[name]["mean"]), bits(got[name]["sd"])) == (
+                    bits(np.mean(values)), bits(np.std(values)))
 
 
 class TestDistributionSummary:
