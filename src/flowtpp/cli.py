@@ -239,6 +239,8 @@ def cmd_train(args, config: dict) -> int:
 
 
 def cmd_sample(args, config: dict) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise ValidationError(f"--horizon must be >= 1, got {args.horizon}")
     scfg = SamplerConfig.from_dict(_section(config, "sampler", args))
     model = Model.from_checkpoint(args.checkpoint)
     horizon = args.horizon if args.horizon is not None else model.config.horizon

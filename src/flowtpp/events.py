@@ -142,17 +142,11 @@ def to_inter_event(timestamps) -> np.ndarray:
 def split_window(seq: EventSequence, horizon: int) -> ForecastWindow | None:
     """Split off the last ``horizon`` events as the target, rest as context.
 
-    Sequences too short to leave any context are skipped (returns None) with
-    a logged warning rather than raising.
+    A sequence too short to leave any context gives None.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be positive, got {horizon}")
     if len(seq) <= horizon:
-        log.warning(
-            "skipping sequence of length %d: no context left for horizon %d",
-            len(seq),
-            horizon,
-        )
         return None
     cut = len(seq) - horizon
     context = EventSequence(seq.inter_times[:cut], seq.marks[:cut], seq.vocab_size)
@@ -161,12 +155,13 @@ def split_window(seq: EventSequence, horizon: int) -> ForecastWindow | None:
 
 
 def make_windows(sequences, horizon: int) -> list[ForecastWindow]:
-    """split_window over a dataset, dropping sequences that are too short."""
-    windows = []
-    for seq in sequences:
-        win = split_window(seq, horizon)
-        if win is not None:
-            windows.append(win)
+    """split_window over a dataset, dropping sequences that are too short
+    with one warning for all of them."""
+    splits = [split_window(seq, horizon) for seq in sequences]
+    windows = [win for win in splits if win is not None]
+    if len(windows) < len(splits):
+        log.warning("skipped %d of %d sequences with at most %d events",
+                    len(splits) - len(windows), len(splits), horizon)
     return windows
 
 

@@ -91,11 +91,10 @@ def interpolate_time(x0, x1, t):
     )
 
 
-def corrupt_mark(y1, t, y0, rng: np.random.Generator) -> np.ndarray:
-    """Mixture draw: keep the clean mark y1 w.p. t, else the noise mark y0."""
-    y1 = np.atleast_1d(np.asarray(y1, dtype=np.int64))
-    keep = rng.random(y1.shape[0]) < t
-    return np.where(keep, y1, y0)
+def corrupt_mark(y1, t, y0, u) -> np.ndarray:
+    """Mixture draw: keep the clean mark y1 where the uniform u < t (so with
+    probability t), else the noise mark y0."""
+    return np.where(u < t, y1, y0)
 
 
 def estimate_lambda(context: EventSequence) -> float:
@@ -276,7 +275,7 @@ class Model:
         x0 = np.maximum(rng.exponential(1.0 / estimate_lambda(context), size=length),
                         floor)
         m = self.config.vocab_size
-        return x0, categorical_rows(np.full((length, m), 1.0 / m), rng)
+        return x0, categorical_rows(np.full((length, m), 1.0 / m), rng.random(length))
 
     # ---- networks: plain arrays, no tape --------------------------------------
     #
@@ -355,20 +354,18 @@ class Model:
     def build_flow_batch(self, windows, rng: np.random.Generator) -> FlowSample:
         """Independent-coupling draws: every target event gets its own
         (t, x0, y_t); endpoints x1/y1 come from the window targets."""
-        ts, x0s, yts = [], [], []
+        draws = []
         for w in windows:
             t = rng.random(w.horizon)
             x0, y0 = self.draw_noise(w.context, w.horizon, rng, _TINY_DT)
-            ts.append(t)
-            x0s.append(x0)
-            yts.append(corrupt_mark(w.target.marks, t, y0, rng))
-        t, x0 = np.concatenate(ts), np.concatenate(x0s)
+            draws.append((t, x0, y0, rng.random(w.horizon)))
+        t, x0, y0, keep_u = map(np.concatenate, zip(*draws))
         x1 = np.concatenate([w.target.inter_times for w in windows])
+        y1 = np.concatenate([w.target.marks for w in windows])
         horizons = [w.horizon for w in windows]
         return FlowSample(
             t=t, x0=x0, x1=x1, x_t=interpolate_time(x0, x1, t),
-            y1=np.concatenate([w.target.marks for w in windows]),
-            y_t=np.concatenate(yts),
+            y1=y1, y_t=corrupt_mark(y1, t, y0, keep_u),
             window_idx=np.repeat(np.arange(len(windows), dtype=np.int64), horizons),
         )
 

@@ -37,11 +37,10 @@ def poisson_mark_probs(rate: float, mark_probs) -> np.ndarray:
     return _validate_simplex(mark_probs)
 
 
-def categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One inverse-CDF draw per row of an (n, M) probability matrix: row i
-    is the first k with u_i < cdf[i, k], for one uniform u_i per row."""
+    is the first k with u[i] < cdf[i, k], for the uniforms u in [0, 1)."""
     cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
     idx = (u[:, None] >= cdf).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
@@ -98,7 +97,8 @@ def simulate_poisson(rate: float, mark_probs, length: int, seed) -> EventSequenc
         raise ValidationError(f"length must be positive, got {length}")
     rng = np.random.default_rng(seed)
     dts = np.maximum(rng.exponential(1.0 / rate, size=length), _TINY_DT)
-    marks = categorical_rows(np.broadcast_to(probs, (length, probs.shape[0])), rng)
+    marks = categorical_rows(np.broadcast_to(probs, (length, probs.shape[0])),
+                             rng.random(length))
     return EventSequence(dts, marks, probs.shape[0])
 
 

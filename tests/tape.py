@@ -148,14 +148,13 @@ def reference_generate(model, windows, cfg):
         rng = np.random.default_rng([cfg.seed, 3, i])
         x, y = model.draw_noise(w.context, w.horizon, rng, EPS_TIME)
         h_rows = h_c.take_rows(np.full(w.horizon, i))
-        t = 0.0
-        for _ in range(cfg.steps):
+        for k in range(cfg.steps):
+            t = k / cfg.steps
             v0, logits = forward(model, x, y, t, h_rows)
             x_mid = np.maximum(x + 0.5 * cfg.h * v0.data.ravel(), EPS_TIME)
             v_mid, _ = forward(model, x_mid, y, t + 0.5 * cfg.h, h_rows)
             x = np.maximum(x + cfg.h * v_mid.data.ravel(), EPS_TIME)
             p_new = mark_probs(logits.data, y, t, cfg.h)
-            y = categorical_rows(p_new, rng)
-            t += cfg.h
+            y = categorical_rows(p_new, rng.random(w.horizon))
         out.append((x, y))
     return out

@@ -426,6 +426,16 @@ class TestMalformedCheckpoint:
 
 
 class TestSample:
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_below_one_names_the_flag(self, tmp_path, capsys, horizon):
+        # checked before the checkpoint or the data is opened: neither exists
+        rc = main(["sample", "--checkpoint", str(tmp_path / "absent.json"),
+                   "--data", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "pred.jsonl"), "--horizon", horizon])
+        assert rc == 1
+        assert f"--horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+        assert not (tmp_path / "pred.jsonl").exists()
+
     def test_output_lines_and_marks(self, tmp_path, checkpoint, data_path):
         out = tmp_path / "pred.jsonl"
         rc = main(["sample", "--checkpoint", checkpoint, "--data", data_path,

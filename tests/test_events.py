@@ -161,6 +161,14 @@ class TestWindows:
         wins = make_windows(seqs, 2)
         assert len(wins) == 1
 
+    def test_make_windows_warns_once_for_all_skipped(self, caplog):
+        seqs = [seq([1.0, 2.0], [0, 1])] * 5 + [seq([1, 2, 3.0], [0, 1, 2])]
+        with caplog.at_level("WARNING"):
+            wins = make_windows(seqs, 2)
+        assert len(wins) == 1
+        assert [r.message for r in caplog.records] == [
+            "skipped 5 of 6 sequences with at most 2 events"]
+
     def test_window_validation(self):
         c = seq([1.0], [0])
         with pytest.raises(ValidationError):

@@ -113,8 +113,9 @@ class TestInterpolateTime:
 def noisy_marks(y1, t, pi0, rng):
     """build_flow_batch's mark path: y0 ~ Cat(pi0), then corrupt_mark."""
     y1 = np.asarray(y1)
-    y0 = categorical_rows(np.broadcast_to(pi0, (y1.shape[0], len(pi0))), rng)
-    return corrupt_mark(y1, t, y0, rng)
+    y0 = categorical_rows(np.broadcast_to(pi0, (y1.shape[0], len(pi0))),
+                          rng.random(y1.shape[0]))
+    return corrupt_mark(y1, t, y0, rng.random(y1.shape[0]))
 
 
 class TestCorruptMark:
@@ -156,7 +157,7 @@ class TestCorruptMark:
         y1 = np.arange(50) % 3
         y0 = (y1 + 1) % 3
         rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-        out = corrupt_mark(y1, t, y0, rng)
+        out = corrupt_mark(y1, t, y0, rng.random(50))
         keep = replay.random(50) < t
         np.testing.assert_array_equal(out, np.where(keep, y1, y0))
         assert rng.random() == replay.random()

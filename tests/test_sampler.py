@@ -100,11 +100,6 @@ def ragged_windows(n, horizon=4, m=3, seed_hi=32):
     return make_windows(seqs, horizon)
 
 
-def one_window(n, seed=0):
-    """streams argument of flow_step for a single window of n rows."""
-    return [(0, n, np.random.default_rng(seed))]
-
-
 class TestSamplerConfig:
     def test_step_width(self):
         assert SamplerConfig(steps=4).h == 0.25
@@ -145,7 +140,7 @@ class TestInitNoise:
         np.testing.assert_array_equal(
             x, np.maximum(replay.exponential(0.5, 50), 1e-6))
         np.testing.assert_array_equal(
-            y, categorical_rows(np.full((50, 3), 1 / 3), replay))
+            y, categorical_rows(np.full((50, 3), 1 / 3), replay.random(50)))
 
     def test_deterministic(self):
         net = ConstantField(0.0, vocab_size=2)
@@ -168,14 +163,15 @@ class TestStepTime:
     def test_zero_field_is_identity(self):
         net = ConstantField(0.0)
         x = np.array([0.5, 1.0, 2.0])
-        out, _ = flow_step(net, x, np.zeros(3, dtype=int), 0.0,
-                           np.zeros((3, 1)), one_window(3), SamplerConfig(steps=8))
+        out, _ = flow_step(net, x, np.zeros(3, dtype=int), 0.0, np.zeros((3, 1)),
+                           np.random.default_rng(0).random(3), SamplerConfig(steps=8))
         np.testing.assert_array_equal(out, x)
 
     def test_negative_field_clamps_both_stages(self):
         net = ConstantField(-10.0)
         out, _ = flow_step(net, np.array([0.1]), np.zeros(1, dtype=int), 0.0,
-                           np.zeros((1, 1)), one_window(1), SamplerConfig(steps=2))
+                           np.zeros((1, 1)), np.random.default_rng(0).random(1),
+                           SamplerConfig(steps=2))
         # midpoint state 0.1 - 2.5 and final state 0.1 - 5 both project to the floor
         assert out[0] == EPS_TIME == 1e-6
         mid_x, mid_t, _ = net.calls[1]
@@ -188,20 +184,21 @@ class TestStepTime:
         y = np.zeros(2, dtype=int)
         t = 0.0
         for _ in range(cfg.steps):
-            x, y = flow_step(net, x, y, t, np.zeros((2, 1)), one_window(2), cfg)
+            x, y = flow_step(net, x, y, t, np.zeros((2, 1)),
+                             np.random.default_rng(0).random(2), cfg)
             t += cfg.h
         np.testing.assert_allclose(x, [1.1, 2.5], rtol=0, atol=1e-12)
 
     def test_midpoint_evaluation_times(self):
         net = ConstantField(0.0)
-        flow_step(net, np.ones(1), np.zeros(1, dtype=int), 0.25,
-                  np.zeros((1, 1)), one_window(1), SamplerConfig(steps=8))
+        flow_step(net, np.ones(1), np.zeros(1, dtype=int), 0.25, np.zeros((1, 1)),
+                  np.random.default_rng(0).random(1), SamplerConfig(steps=8))
         assert [t for _, t, _ in net.calls] == [0.25, 0.3125]
 
     def test_midpoint_evaluates_field_only(self):
         net = ConstantField(0.0)
-        flow_step(net, np.ones(2), np.zeros(2, dtype=int), 0.0,
-                  np.zeros((2, 1)), one_window(2), SamplerConfig(steps=4))
+        flow_step(net, np.ones(2), np.zeros(2, dtype=int), 0.0, np.zeros((2, 1)),
+                  np.random.default_rng(0).random(2), SamplerConfig(steps=4))
         assert [marks for _, _, marks in net.calls] == [True, False]
 
 
@@ -244,12 +241,12 @@ class TestMarkProbs:
 class TestCategoricalRows:
     def test_degenerate_rows(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        out = categorical_rows(probs, np.random.default_rng(0))
+        out = categorical_rows(probs, np.random.default_rng(0).random(3))
         np.testing.assert_array_equal(out, [0, 1, 0])
 
     def test_frequencies(self):
         probs = np.tile([0.2, 0.8], (20000, 1))
-        out = categorical_rows(probs, np.random.default_rng(1))
+        out = categorical_rows(probs, np.random.default_rng(1).random(20000))
         assert abs((out == 1).mean() - 0.8) < 0.01
 
 
@@ -257,7 +254,7 @@ class TestStepMark:
     def test_uses_model_logits(self):
         net = ConstantField(0.0, vocab_size=2)
         _, y = flow_step(net, np.ones(500), np.zeros(500, dtype=int), 0.0,
-                         np.zeros((500, 1)), one_window(500, seed=2),
+                         np.zeros((500, 1)), np.random.default_rng(2).random(500),
                          SamplerConfig(steps=1))
         frac = (y == 1).mean()
         assert 0.44 < frac < 0.56
@@ -277,7 +274,8 @@ class TestGenerate:
             x_exp, y0 = net.draw_noise(w.context, w.horizon, rng, EPS_TIME)
             p_new = mark_probs(net.logits(y0), y0, 0.0, cfg.h)
             np.testing.assert_array_equal(out[idx][0], x_exp)
-            np.testing.assert_array_equal(out[idx][1], categorical_rows(p_new, rng))
+            np.testing.assert_array_equal(
+                out[idx][1], categorical_rows(p_new, rng.random(w.horizon)))
 
     def test_marks_come_from_pre_midpoint_logits(self):
         # main evaluation peaks mark 2, midpoint evaluation peaks mark 0;
@@ -304,7 +302,7 @@ class TestGenerate:
             np.testing.assert_array_equal(
                 out[idx][0], np.maximum(replay.exponential(scale, 4), EPS_TIME))
             np.testing.assert_array_equal(
-                out[idx][1], categorical_rows(np.full((4, 3), 1 / 3), replay))
+                out[idx][1], categorical_rows(np.full((4, 3), 1 / 3), replay.random(4)))
         assert len(np.unique(np.concatenate([y for _, y in out]))) == 3
 
     @pytest.mark.parametrize("seed", range(3))
@@ -367,6 +365,15 @@ class TestGenerate:
         for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(ya, yb)
+
+    @pytest.mark.parametrize("steps", [3, 7, 10])
+    def test_flow_times_lie_on_the_grid(self, steps):
+        # step k runs at exactly k / S: summing h = 1/S would drift off the
+        # grid for S not a power of two
+        net = ConstantField(0.0)
+        generate(net, small_windows(2), SamplerConfig(steps=steps))
+        main_times = [t for _, t, marks in net.calls if marks]
+        assert main_times == [k / steps for k in range(steps)]
 
     def test_invariant_counters(self):
         before = dict(INVARIANT_COUNTS)

@@ -50,22 +50,31 @@ class TestPoisson:
 class TestCategorical:
     def test_inverse_cdf_frequencies(self):
         rng = np.random.default_rng(0)
-        draws = categorical_rows(np.tile([0.1, 0.9], (20000, 1)), rng)
+        draws = categorical_rows(np.tile([0.1, 0.9], (20000, 1)), rng.random(20000))
         assert abs(draws.mean() - 0.9) < 0.01
 
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        assert (categorical_rows(np.tile([0.0, 1.0, 0.0], (100, 1)), rng) == 1).all()
+        draws = categorical_rows(np.tile([0.0, 1.0, 0.0], (100, 1)), rng.random(100))
+        assert (draws == 1).all()
 
     def test_uniform_on_a_cdf_value_skips_zero_mass(self):
         # a uniform equal to cdf[k] draws past k, so u = 0 never picks a
         # leading class of probability 0
-        class Fixed:
-            def random(self, n):
-                return np.array([0.0, 0.5])[:n]
-
         probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(categorical_rows(probs, Fixed()), [1, 2])
+        u = np.array([0.0, 0.5])
+        np.testing.assert_array_equal(categorical_rows(probs, u), [1, 2])
+
+    @pytest.mark.parametrize("m", [10, 7])
+    def test_uniform_past_a_short_cdf_takes_the_last_class(self, m):
+        # M equal masses 1/M sum to just below 1 (ten 0.1s to 1 - 2^-53,
+        # seven 1/7s, the noise draw at M=7, to 1 - 2^-52); the largest
+        # uniform below 1 is at or past the cdf's end and is clamped to class M-1
+        probs = np.full((1, m), 1.0 / m)
+        cdf_end = np.cumsum(probs, axis=1)[0, -1]
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert cdf_end < 1.0 and u[0] >= cdf_end
+        np.testing.assert_array_equal(categorical_rows(probs, u), [m - 1])
 
 
 class TestHawkesSpec:
