@@ -21,7 +21,6 @@ from .errors import (Config, NumericalError, ValidationError, check_memory,
 from .events import load_jsonl, make_windows, save_jsonl
 from .metrics import (
     HIST_BINS,
-    EvaluateConfig,
     OtdConfig,
     aggregate,
     distribution_summary,
@@ -37,7 +36,7 @@ from .synthgen import (HawkesSpec, poisson_mark_probs, simulate_hawkes,
 
 log = logging.getLogger(__name__)
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,11 +80,17 @@ class SimulateConfig(Config, section="simulate"):
             self.require(getattr(self, key) >= 1, key, ">= 1")
         self.require(self.kind in ("poisson", "hawkes"), "kind",
                      "'poisson' or 'hawkes'")
+        # the other kind's keys would be silently ignored
+        for key in (("base_rates", "excite", "decay") if self.kind == "poisson"
+                    else ("rate", "vocab_size", "mark_probs")):
+            default = getattr(SimulateConfig, key)
+            self.require(getattr(self, key) == default, key,
+                         f"its default {default!r} when kind is {self.kind!r}")
         # gaps and marks, plus the Hawkes thinning's 4·length uniforms, up front
         check_memory(8 * self.length * (2 if self.kind == "poisson" else 6),
                      "simulated sequence", f"simulate.length={self.length}")
         m = self.types
-        if self.kind == "poisson" and self.mark_probs and len(self.mark_probs) != m:
+        if self.mark_probs and len(self.mark_probs) != m:
             raise ValidationError(
                 f"simulate.mark_probs has {len(self.mark_probs)} entries, "
                 f"simulate.vocab_size is {m}")
@@ -110,16 +115,16 @@ class SimulateConfig(Config, section="simulate"):
         return lambda seed: simulate_hawkes(spec, self.length, seed)
 
 
-# keys and value types of each config-file section, one Config class each; a
-# config file may hold only these and a top-level "seed", an integer >= 0
-_SECTIONS = {cls.section: cls.field_types for cls in (
-    SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
-    EvaluateConfig)}
+# the Config class of each config-file section
+CONFIGS = (SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig)
+# keys and value types of each section; a config file may hold only these and
+# a top-level "seed", an integer >= 0
+_SECTIONS = {cls.section: cls.field_types for cls in CONFIGS}
 
 _SIMULATE_FLAGS = ("kind", "num_seqs", "length", "rate", "vocab_size",
                    "mark_probs", "base_rates", "excite", "decay")
 _TRAIN_FLAGS = {"train": ("epochs", "batch_size", "lr"), "model": ("horizon",)}
-_EVALUATE_FLAGS = {"otd": ("delete_cost",), "evaluate": ("rmse_y_mode",)}
+_EVALUATE_FLAGS = {"otd": ("delete_cost",)}
 
 # the config keys each command takes as flags, {command: {section: keys}};
 # key becomes --key with dashes, typed by its Config field, and sets that
@@ -199,8 +204,18 @@ def _simulate_sequences(sim: SimulateConfig, seed: int, n: int, stream: int = 2)
     return [draw([seed, stream, i]) for i in range(n)]
 
 
+def _check_datasets(sim: SimulateConfig, *keys):
+    """Every sequence of a dataset is held at once: the gaps and marks of the
+    sim.key sequences, for each key (num_seqs, eval_seqs), must fit in memory."""
+    for key in keys:
+        n = getattr(sim, key)
+        check_memory(16 * n * sim.length, "simulated dataset",
+                     f"simulate.{key}={n}, simulate.length={sim.length}")
+
+
 def cmd_simulate(args, config: dict) -> int:
     sim = SimulateConfig.from_dict(_section(config, "simulate", args))
+    _check_datasets(sim, "num_seqs")
     seqs = _simulate_sequences(sim, sim.seed, sim.num_seqs)
     save_jsonl(args.out, seqs, sim.types, seed=sim.seed)
     print(f"wrote {sim.num_seqs} {sim.kind} sequences (M={sim.types}, "
@@ -259,16 +274,15 @@ def cmd_sample(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
+    seed = _seed(args, config)
     otd_cfg = OtdConfig.from_dict(_section(config, "otd", args))
-    eval_cfg = EvaluateConfig.from_dict(_section(config, "evaluate", args))
     # windows pair by position, so a skipped line would misalign the rest
     report = evaluate_windows(load_jsonl(args.pred, skip_invalid=False),
-                              load_jsonl(args.truth, skip_invalid=False),
-                              otd_cfg, eval_cfg.rmse_y_mode)
+                              load_jsonl(args.truth, skip_invalid=False), otd_cfg)
     doc = {
         "version": REPORT_VERSION,
-        "seed": eval_cfg.seed,
-        "config": {**otd_cfg.to_dict(), "rmse_y_mode": eval_cfg.rmse_y_mode},
+        "seed": seed,
+        "config": otd_cfg.to_dict(),
         **report.to_dict(),
     }
     _write_report(args.out, doc)
@@ -285,6 +299,9 @@ def cmd_hist(args, config: dict) -> int:
     sequences = load_jsonl(args.data)
     if not sequences:
         raise ValidationError(f"no usable sequences in {args.data}")
+    # a row per mark type: counts and frequencies, as arrays and CSV lists
+    vocab = sequences[0].vocab_size
+    check_memory(64 * vocab, "mark table", f"{args.data} declares vocab_size={vocab}")
     summary = distribution_summary(sequences, bins=args.bins)
     times_path = args.out_times or f"{args.data}.times.csv"
     marks_path = args.out_marks or f"{args.data}.marks.csv"
@@ -311,11 +328,12 @@ def cmd_pipeline(args, config: dict) -> int:
         raise ValidationError(f"--seeds must be >= 1, got {k}")
     sim = SimulateConfig.from_dict(
         {"num_seqs": 200, **_section(config, "simulate", args)})
+    _check_datasets(sim, "num_seqs", "eval_seqs")
     # the stages build the other sections again; building them here first
     # rejects a bad value before any file is written
     model_cfg = ModelConfig.from_dict(
         {"vocab_size": sim.types, **_section(config, "model", args)})
-    for cls in (TrainConfig, SamplerConfig, OtdConfig, EvaluateConfig):
+    for cls in (TrainConfig, SamplerConfig, OtdConfig):
         cls.from_dict(_section(config, cls.section, args))
     if model_cfg.horizon >= sim.length:
         raise ValidationError(

@@ -3,8 +3,8 @@
 - otd: minimum-cost order-preserving alignment (same-mark matches pay the
   absolute arrival-time gap, unmatched events pay a deletion cost)
 - rmse_x: root mean squared error of inter-event times by position
-- rmse_y: root mean squared error of per-type event counts (default), or of
-  position-wise label mismatch behind mode="position"
+- rmse_y: root mean squared error of per-type event counts over the horizon,
+  the RMSE_e of long-horizon forecasting (Xue et al., HYPRO, 2022)
 - smape: symmetric mean absolute percentage error, bounded in [0, 200]
 
 Arrival times restart at 0 at the window boundary: prediction files carry
@@ -31,28 +31,10 @@ class OtdConfig(Config, section="otd"):
         self.require(self.delete_cost > 0, "delete_cost", "> 0")
 
 
-RMSE_Y_MODES = ("counts", "position")
-
-
-@dataclass(frozen=True)
-class EvaluateConfig(Config, section="evaluate"):
-    """Settings of `flowtpp evaluate`; seed is only recorded in the report."""
-
-    rmse_y_mode: str = "counts"
-    seed: int = 0
-
-    def validate(self):
-        self.require(self.rmse_y_mode in RMSE_Y_MODES, "rmse_y_mode",
-                     f"one of {RMSE_Y_MODES}")
-
-
-def _vocab(pred: EventSequence, truth: EventSequence) -> int:
-    """The vocab_size both sequences share."""
+def _vocab(pred: EventSequence, truth: EventSequence):
+    """Raise unless both sequences have one vocab_size."""
     if pred.vocab_size != truth.vocab_size:
-        raise ValidationError(
-            f"vocab_size mismatch: {pred.vocab_size} vs {truth.vocab_size}"
-        )
-    return pred.vocab_size
+        raise ValidationError(f"vocab_size mismatch: {pred.vocab_size} vs {truth.vocab_size}")
 
 
 def _paired(pred: EventSequence, truth: EventSequence) -> int:
@@ -72,15 +54,15 @@ def _rmse_x(diff: np.ndarray, n: int) -> float:
     return math.sqrt(np.add.reduce(diff * diff) / n)
 
 
-def _rmse_y(pred: EventSequence, truth: EventSequence, mode: str) -> float:
-    # integer counts: their sums are exact, as the float sums were
-    if mode == "counts":
-        m = pred.vocab_size
-        delta = np.bincount(pred.marks, minlength=m) - np.bincount(truth.marks, minlength=m)
-        return math.sqrt(int(delta @ delta) / m)
-    if mode == "position":
-        return math.sqrt(np.count_nonzero(pred.marks != truth.marks) / _paired(pred, truth))
-    raise ValidationError(f"rmse_y mode must be one of {RMSE_Y_MODES}, got {mode!r}")
+def _rmse_y(pred: EventSequence, truth: EventSequence) -> float:
+    # exact integer sums. Types past the largest mark present count 0 on both
+    # sides, so the counts stop there and vocab_size is only the divisor
+    cp, ct = np.bincount(pred.marks), np.bincount(truth.marks)
+    if len(cp) != len(ct):  # recount both at the longer length
+        k = max(len(cp), len(ct))
+        cp, ct = np.bincount(pred.marks, minlength=k), np.bincount(truth.marks, minlength=k)
+    delta = cp - ct
+    return math.sqrt(int(delta @ delta) / pred.vocab_size)
 
 
 def _smape(pred: EventSequence, truth: EventSequence, diff: np.ndarray, n: int) -> float:
@@ -102,12 +84,10 @@ def rmse_x(pred: EventSequence, truth: EventSequence) -> float:
     return _rmse_x(pred.inter_times - truth.inter_times, _paired(pred, truth))
 
 
-def rmse_y(pred: EventSequence, truth: EventSequence,
-           mode: str = EvaluateConfig.rmse_y_mode) -> float:
-    """Mark error. "counts" compares per-type totals over the horizon;
-    "position" is the square root of the label mismatch rate."""
+def rmse_y(pred: EventSequence, truth: EventSequence) -> float:
+    """Mark error: per-type totals over the horizon, over all vocab_size types."""
     _vocab(pred, truth)
-    return _rmse_y(pred, truth, mode)
+    return _rmse_y(pred, truth)
 
 
 def smape(pred: EventSequence, truth: EventSequence) -> float:
@@ -140,8 +120,7 @@ class MetricReport:
         }
 
 
-def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
-                     rmse_y_mode: str = EvaluateConfig.rmse_y_mode) -> MetricReport:
+def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig()) -> MetricReport:
     """All four metrics per pair, each with its own function's bits, plus mean
     and s.d. columns. A mismatch or a non-finite value names its window."""
     if len(preds) != len(truths):
@@ -158,7 +137,7 @@ def evaluate_windows(preds, truths, otd_cfg: OtdConfig = OtdConfig(),
         except ValidationError as exc:
             raise ValidationError(f"window {i}: {exc}") from None
         diff = p.inter_times - t.inter_times
-        scores = (cost, _rmse_x(diff, n), _rmse_y(p, t, rmse_y_mode), _smape(p, t, diff, n))
+        scores = (cost, _rmse_x(diff, n), _rmse_y(p, t), _smape(p, t, diff, n))
         for (name, column), value in zip(per.items(), scores):
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite {name} in window {i}: {value}")

@@ -11,12 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowtpp
-from flowtpp import Model, ModelConfig, SamplerConfig, load_jsonl
+from flowtpp import Model, ModelConfig, load_jsonl
 from flowtpp import cli, nn
-from flowtpp.cli import SimulateConfig, main
+from flowtpp.cli import CONFIGS, main
 from flowtpp.errors import NumericalError, ValidationError
-from flowtpp.metrics import EvaluateConfig, OtdConfig
-from flowtpp.model import TrainConfig
 
 SMALL_MODEL = {
     "d": 8,
@@ -109,6 +107,36 @@ class TestSimulate:
                 in proc.stderr)
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    # every sequence is held at once: numbers of sequences whose gaps and
+    # marks fail the memory check before any is simulated
+    @pytest.mark.parametrize("num_seqs", [10**12, 10**19])
+    def test_dataset_past_memory_exits_1(self, tmp_path, num_seqs):
+        out = tmp_path / "x.jsonl"
+        proc = run_cli(["simulate", "--num-seqs", str(num_seqs), "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert ("simulated dataset too large to allocate: "
+                f"simulate.num_seqs={num_seqs}, simulate.length=40") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    # a key of the other kind would be ignored: it must keep its default
+    @pytest.mark.parametrize("kind,flag,value,default", [
+        ("hawkes", "rate", "5", "1.0"), ("hawkes", "vocab_size", "7", "3"),
+        ("hawkes", "mark_probs", "0.5,0.5", "()"),
+        ("poisson", "base_rates", "0.5,0.5", "(0.25, 0.25)"),
+        ("poisson", "excite", "0.1,0.1,0.1,0.1", "(0.3, 0.1, 0.1, 0.3)"),
+        ("poisson", "decay", "2", "1.0")])
+    def test_other_kind_key_exits_1(self, tmp_path, capsys, kind, flag, value, default):
+        out = tmp_path / "x.jsonl"
+        argv = ["simulate", "--kind", kind, "--num-seqs", "2", "--length", "5",
+                "--out", str(out), f"--{flag.replace('_', '-')}"]
+        assert main([*argv, value]) == 1
+        assert (f"simulate.{flag} must be its default {default} when kind is "
+                f"{kind!r}") in capsys.readouterr().err
+        assert not out.exists()
+        if flag != "mark_probs":  # an empty flag value is no list
+            assert main([*argv, default.strip("()")]) == 0
 
 
 class TestTrain:
@@ -238,15 +266,15 @@ class TestMalformedConfig:
         ("simulate", {"seed": "x"}, "seed must be an integer"),
         ("evaluate", {"otd": {"delete_cost": "abc"}},
          "otd.delete_cost must be a number"),
-        ("evaluate", {"evaluate": {"rmse_y_mode": 1}},
-         "evaluate.rmse_y_mode must be a string"),
-        ("evaluate", {"evaluate": []}, "section 'evaluate' must be an object"),
+        ("evaluate", {"evaluate": {"rmse_y_mode": "counts"}},
+         "unknown config sections: ['evaluate']"),
+        ("evaluate", {"otd": []}, "section 'otd' must be an object"),
         ("train", {"model": {"vocab_size": 5}}, "vocab_size mismatch"),
         ("simulate", {"simulate": {"vocab_size": 5, "mark_probs": [0.5, 0.5]}},
          "simulate.mark_probs has 2 entries, simulate.vocab_size is 5"),
         # a rule of a section fails before any input file is opened
-        ("evaluate-missing-pred", {"evaluate": {"rmse_y_mode": "bogus"}},
-         "evaluate.rmse_y_mode must be one of"),
+        ("evaluate-missing-pred", {"otd": {"delete_cost": 0}},
+         "otd.delete_cost must be > 0"),
         ("sample-missing-checkpoint", {"sampler": {"steps": 0}},
          "sampler.steps must be >= 1"),
         # a flag value is checked by its section's rules, as a file value is
@@ -265,6 +293,8 @@ class TestMalformedConfig:
         # config numbers are finite
         ("evaluate-delete-cost-inf", {},
          "otd.delete_cost must be a finite number, got inf"),
+        # a setting that went away is an unknown flag
+        ("evaluate-rmse-y-mode", {}, "unrecognized arguments: --rmse-y-mode counts"),
     ])
     def test_exits_1_naming_key(self, tmp_path, data_path, checkpoint, pred_truth,
                                 command, config, named):
@@ -293,6 +323,8 @@ class TestMalformedConfig:
             "evaluate-delete-cost-inf": ["evaluate", "--pred", pred, "--truth",
                                          truth, "--out", str(out),
                                          "--delete-cost", "inf"],
+            "evaluate-rmse-y-mode": ["evaluate", "--pred", pred, "--truth", truth,
+                                     "--out", str(out), "--rmse-y-mode", "counts"],
         }[command]
         proc = run_cli([*argv, "--config", str(cfg)])
         assert proc.returncode == 1, proc.stderr
@@ -557,9 +589,9 @@ class TestEvaluate:
                    "--out", str(out), "--seed", "5"])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["version"] == 1 and doc["seed"] == 5
+        assert doc["version"] == 2 and doc["seed"] == 5
         assert doc["window_count"] == 8
-        assert doc["config"] == {"delete_cost": 1.0, "rmse_y_mode": "counts"}
+        assert doc["config"] == {"delete_cost": 1.0}
         for name in ("otd", "rmse_x", "rmse_y", "smape"):
             assert doc["aggregate"][name]["mean"] >= 0
 
@@ -629,6 +661,37 @@ class TestEvaluate:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "numerical abort: non-finite rmse_x in window 0: inf\n"
         assert not out.exists()
+
+    # a header vocab_size past memory: rmse_y counts only up to the largest
+    # mark, and hist refuses its M-row mark table
+    @pytest.mark.parametrize("vocab", [10**12, 10**19])
+    def test_vocab_past_memory(self, tmp_path, vocab):
+        data = self.write_lines(tmp_path / "d.jsonl", [{"dts": [1.0, 2.0], "marks": [0, 1]}],
+                                vocab=vocab)
+        out = tmp_path / "r.json"
+        proc = run_cli(["evaluate", "--pred", data, "--truth", data, "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["aggregate"]["rmse_y"]["mean"] == 0.0
+        t, m = tmp_path / "t.csv", tmp_path / "m.csv"
+        proc = run_cli(["hist", "--data", data, "--out-times", str(t), "--out-marks", str(m)])
+        assert proc.returncode == 1, proc.stderr
+        assert (f"mark table too large to allocate: {data} declares vocab_size={vocab}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not t.exists() and not m.exists()
+
+    @pytest.mark.parametrize("flags,seed", [
+        ([], 0), (["--config", "{cfg}"], 5), (["--config", "{cfg}", "--seed", "4"], 4),
+    ], ids=["default", "config", "flag-wins"])
+    def test_seed_precedence(self, tmp_path, pred_truth, flags, seed):
+        # the report records --seed, then the config file's top-level seed
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        pred, truth = pred_truth
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--pred", pred, "--truth", truth, "--out", str(out),
+                     *(flag.format(cfg=cfg) for flag in flags)]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
 
     def test_report_refuses_non_finite_values(self, tmp_path):
         out = tmp_path / "r.json"
@@ -883,8 +946,7 @@ class TestPipeline:
         ([], {"train": {"lr": 0}}, "train.lr must be > 0"),
         ([], {"sampler": {"steps": 0}}, "sampler.steps must be >= 1"),
         ([], {"otd": {"delete_cost": 0}}, "otd.delete_cost must be > 0"),
-        ([], {"evaluate": {"rmse_y_mode": "bogus"}},
-         "evaluate.rmse_y_mode must be one of"),
+        (["--rmse-y-mode", "counts"], {}, "unrecognized arguments: --rmse-y-mode"),
         (["--length", "8", "--horizon", "8"], {},
          "model.horizon must be < simulate.length"),
         ([], {"model": {**SMALL_MODEL, "vocab_size": 5}},
@@ -894,9 +956,18 @@ class TestPipeline:
         (["--mark-probs", "0.5,0.5,0.5"], {}, "simulate.mark_probs must sum to 1"),
         (["--kind", "hawkes", "--excite", "2,0,0,2"], {},
          "simulate.excite must keep the process stable"),
+        ([], {"evaluate": {}}, "unknown config sections: ['evaluate']"),
+        (["--kind", "hawkes", "--vocab-size", "7"], {},
+         "simulate.vocab_size must be its default 3 when kind is 'hawkes', got 7"),
+        (["--eval-seqs", str(10**12)], {}, "simulated dataset too large to allocate: "
+         "simulate.eval_seqs=1000000000000, simulate.length=8"),
+        (["--num-seqs", str(10**19)], {}, "simulated dataset too large to allocate: "
+         "simulate.num_seqs=10000000000000000000, simulate.length=8"),
     ], ids=["eval-seqs-0", "num-seqs-0", "train-seed", "simulate-seed", "train-lr",
             "sampler-steps", "otd-delete-cost", "rmse-y-mode", "horizon-length",
-            "vocab-size", "rate-0", "decay-0", "mark-probs-sum", "unstable"])
+            "vocab-size", "rate-0", "decay-0", "mark-probs-sum", "unstable",
+            "evaluate-section", "other-kind-key", "eval-seqs-past-memory",
+            "num-seqs-past-memory"])
     def test_exits_1_before_writing(self, tmp_path, flags, config, named):
         # a bad value in any stage's section, a horizon no sequence exceeds,
         # and a section seed that the stage seeds would silently override
@@ -916,16 +987,17 @@ class TestPipeline:
 
 def negative_seed_cases():
     """(command, source of the seed, what stderr names): a command whose
-    section has a seed checks --seed there; hist and pipeline check it
-    themselves, and pipeline takes no section seed at all."""
+    section has a seed checks --seed there; evaluate, hist and pipeline check
+    it themselves, and pipeline takes no section seed at all."""
     sections = {"simulate": "simulate", "train": "train", "sample": "sampler",
-                "evaluate": "evaluate", "hist": None, "pipeline": None}
+                "evaluate": None, "hist": None, "pipeline": None}
     for command, section in sections.items():
         key = f"{section}.seed" if section else "seed"
         yield command, "flag", f"error: {key} must be >= 0, got -3"
         yield command, "top-level", "error: seed must be >= 0, got -3"
         if section:
             yield command, "section", f"error: {key} must be >= 0, got -3"
+    yield "evaluate", "section", "unknown config sections: ['evaluate']"
     yield "pipeline", "section", "remove simulate.seed"
 
 
@@ -984,15 +1056,13 @@ class TestReadmeConfig:
             assert cls.from_dict(doc[cls.section]) == default, cls.section
 
 
-CONFIGS = (SimulateConfig, ModelConfig, TrainConfig, SamplerConfig, OtdConfig,
-           EvaluateConfig)
 FLOAT_FIELDS = [(cls, key, kind) for cls in CONFIGS
                 for key, kind in cls.field_types.items()
                 if kind in (float, tuple[float, ...])]
 
 
 class TestNonFiniteConfig:
-    """Every number field of the six config sections, and every item of a
+    """Every number field of the five config sections, and every item of a
     list of numbers, rejects NaN and the infinities naming section.key,
     both from a config-file section and from the constructor."""
 

@@ -18,7 +18,6 @@ from flowtpp import (
     smape,
 )
 from flowtpp.metrics import (
-    RMSE_Y_MODES,
     aggregate,
     distribution_summary,
     histogram_tv,
@@ -156,15 +155,12 @@ class TestRmseY:
         # counts [1,1] vs [1,2]
         assert abs(rmse_y(a, b) - np.sqrt(0.5)) < 1e-12
 
-    def test_position_mode(self):
-        a = EventSequence(np.ones(3), np.array([0, 0, 1]), 2)
-        b = EventSequence(np.ones(3), np.array([0, 1, 1]), 2)
-        assert abs(rmse_y(a, b, mode="position") - np.sqrt(1 / 3)) < 1e-12
-
-    def test_unknown_mode(self):
-        a = EventSequence(np.ones(1), np.array([0]), 1)
-        with pytest.raises(ValidationError, match="mode"):
-            rmse_y(a, a, mode="hamming")
+    @pytest.mark.parametrize("vocab", [10**12, 10**19])
+    def test_counts_past_memory_vocab(self, vocab):
+        # no M counts are allocated: counts [2,1,0] vs [0,0,1] over M types
+        a = EventSequence(np.ones(3), np.array([0, 0, 1]), vocab)
+        b = EventSequence(np.ones(1), np.array([2]), vocab)
+        assert rmse_y(a, b) == np.sqrt(6 / vocab)
 
 
 class TestSmape:
@@ -308,16 +304,14 @@ def draw_gaps(rng, regime, n):
     return np.choose(pick, [make(rng, n) for make in GAP_REGIMES.values()])
 
 
-def np_mean_metrics(pred, truth, mode):
-    """rmse_x, rmse_y and smape as np.mean and float arrays write them."""
+def np_mean_metrics(pred, truth):
+    """rmse_x, rmse_y and smape as np.mean and float arrays write them, the
+    counts of rmse_y over all M types."""
     a, b = pred.inter_times, truth.inter_times
     m = pred.vocab_size
-    if mode == "counts":
-        cp = np.bincount(pred.marks, minlength=m).astype(np.float64)
-        ct = np.bincount(truth.marks, minlength=m).astype(np.float64)
-        y = np.sqrt(np.mean((cp - ct) ** 2))
-    else:
-        y = np.sqrt(np.mean(pred.marks != truth.marks))
+    cp = np.bincount(pred.marks, minlength=m).astype(np.float64)
+    ct = np.bincount(truth.marks, minlength=m).astype(np.float64)
+    y = np.sqrt(np.mean((cp - ct) ** 2))
     half_sum = np.maximum(0.5 * np.abs(a) + 0.5 * np.abs(b), 5e-324)
     return (float(np.sqrt(np.mean((a - b) ** 2))), float(y),
             float(100.0 * np.mean(np.abs(a - b) / half_sum)))
@@ -326,10 +320,11 @@ def np_mean_metrics(pred, truth, mode):
 @st.composite
 def scored_windows(draw):
     """1-3 (pred, truth) pairs of one length in 1..300, which crosses the
-    8- and 128-element blocks of numpy's pairwise sum."""
+    8- and 128-element blocks of numpy's pairwise sum. A large vocabulary
+    leaves the top types unused and the largest marks of a pair unequal."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
-    vocab = draw(st.integers(1, 4))
+    vocab = draw(st.one_of(st.integers(1, 4), st.integers(5, 5000)))
     regimes = st.sampled_from([*GAP_REGIMES, "mixed"])
     pairs = []
     for _ in range(draw(st.integers(1, 3))):
@@ -351,25 +346,24 @@ class TestFusedScoring:
     """evaluate_windows scores each pair in one pass; every value must be
     the bits of the metric's own function and of its np.mean formula."""
 
-    @given(scored_windows(), st.sampled_from(RMSE_Y_MODES),
-           st.sampled_from([0.25, 1.0, 1.7]))
-    def test_values_are_the_standalone_metrics(self, pairs, mode, cost):
+    @given(scored_windows(), st.sampled_from([0.25, 1.0, 1.7]))
+    def test_values_are_the_standalone_metrics(self, pairs, cost):
         cfg = OtdConfig(delete_cost=cost)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = [(otd(p, t, cfg), rmse_x(p, t), rmse_y(p, t, mode), smape(p, t))
+            rows = [(otd(p, t, cfg), rmse_x(p, t), rmse_y(p, t), smape(p, t))
                     for p, t in pairs]
             for (p, t), row in zip(pairs, rows):
-                assert list(map(bits, row[1:])) == list(map(bits, np_mean_metrics(p, t, mode)))
+                assert list(map(bits, row[1:])) == list(map(bits, np_mean_metrics(p, t)))
             bad = [(i, name, value) for i, row in enumerate(rows)
                    for name, value in zip(("otd", "rmse_x", "rmse_y", "smape"), row)
                    if not np.isfinite(value)]
             if bad:
                 i, name, value = bad[0]
                 with pytest.raises(NumericalError) as err:
-                    evaluate_windows(*zip(*pairs), cfg, mode)
+                    evaluate_windows(*zip(*pairs), cfg)
                 assert str(err.value) == f"non-finite {name} in window {i}: {value}"
                 return
-            report = evaluate_windows(*zip(*pairs), cfg, mode)
+            report = evaluate_windows(*zip(*pairs), cfg)
             for column, (name, got) in enumerate(report.per_window.items()):
                 want = [row[column] for row in rows]
                 assert list(map(bits, got)) == list(map(bits, want)), name
