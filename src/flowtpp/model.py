@@ -44,6 +44,15 @@ def sinusoidal_features(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
+@functools.lru_cache(maxsize=64)  # both flow times of each step, up to 32 steps
+def _scalar_features(t: float, dim: int) -> np.ndarray:
+    """sinusoidal_features of one flow time t, kept read-only for reuse; past
+    32 sampler steps every lookup misses and phi is computed afresh."""
+    row = sinusoidal_features(t, dim)
+    row.flags.writeable = False
+    return row
+
+
 @dataclass(frozen=True)
 class ModelConfig(Config, section="model"):
     vocab_size: int
@@ -142,6 +151,10 @@ class Model:
         for path, shape, fan_in in layout:
             self.store.add(path, np.zeros(shape) if rng is None or fan_in is None
                            else rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape))
+        # (W, b) tensors of vf, then head, first layer first; read .data per call
+        self._layers = [[(self.store[f"{net}.{i}.W"], self.store[f"{net}.{i}.b"])
+                         for i in range(len(sizes) - 1)]
+                        for net, sizes in (("vf", self._vf_sizes), ("head", self._head_sizes))]
 
     # ---- context encoding -------------------------------------------------
 
@@ -279,18 +292,18 @@ class Model:
 
     # ---- networks: plain arrays, no tape --------------------------------------
     #
-    # Both networks read concat([x, onehot(y), phi(t), h_c]), so their first
-    # layers are [x, onehot(y), phi(t)]·W + (h_c·W_h + b), W the rows above
-    # W_h. The bracket is fixed for a window; project_contexts computes it
-    # once. The loss runs the same forward, and its backward reuses the
+    # Both networks read concat([x, onehot(y), phi(t), h_c]), so each first
+    # layer is [x, onehot(y), phi(t)]·W + (h_c·W_h + b), W the net's own rows
+    # above W_h. The bracket is fixed for a window; project_contexts computes
+    # it once. The loss runs the same forward, and its backward reuses the
     # input matrix and the tanh activations.
 
     def _context_weights(self) -> tuple:
         """(W_h, b) of both first layers side by side, vf columns first."""
         h_rows = slice(self.config.input_dim - self.config.d, None)
-        w1 = [self.store[f"{net}.0.W"].data[h_rows] for net in ("vf", "head")]
-        b1 = [self.store[f"{net}.0.b"].data for net in ("vf", "head")]
-        return np.concatenate(w1, axis=1), np.concatenate(b1)
+        firsts = [layers[0] for layers in self._layers]
+        return (np.concatenate([w.data[h_rows] for w, _ in firsts], axis=1),
+                np.concatenate([b.data for _, b in firsts]))
 
     def _project(self, h_c: np.ndarray) -> np.ndarray:
         w_h, b = self._context_weights()
@@ -312,9 +325,6 @@ class Model:
         """
         return self._run_nets(x_t, y_t, t, proj_rows, marks)
 
-    def _nets(self, marks: bool = True) -> list:
-        return [("vf", self._vf_sizes)] + marks * [("head", self._head_sizes)]
-
     def _run_nets(self, x_t, y_t, t, proj_rows, marks: bool, acts=None) -> tuple:
         """predict's forward; with a list acts, the first-layer inputs
         [x, onehot(y), phi(t)] and then each net's tanh outputs, one list per
@@ -322,31 +332,28 @@ class Model:
         cfg = self.config
         x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
         y_t = np.atleast_1d(np.asarray(y_t, dtype=np.int64))
-        if np.any(y_t < 0) or np.any(y_t >= cfg.vocab_size):
+        if y_t.size and (y_t.min() < 0 or y_t.max() >= cfg.vocab_size):
             raise ValidationError("mark out of vocabulary in predict input")
-        nets, k = self._nets(marks), cfg.input_dim - cfg.d
-        inputs = np.zeros((x_t.shape[0], k))
+        inputs = np.zeros((x_t.shape[0], cfg.input_dim - cfg.d))
         inputs[:, 0] = x_t
         inputs[np.arange(x_t.shape[0]), 1 + y_t] = 1.0
-        inputs[:, 1 + cfg.vocab_size :] = sinusoidal_features(t, cfg.t_embed_dim)
+        inputs[:, 1 + cfg.vocab_size :] = (_scalar_features(float(t), cfg.t_embed_dim)
+            if np.ndim(t) == 0 else sinusoidal_features(t, cfg.t_embed_dim))
         if acts is not None:
             acts.append(inputs)
-        a = inputs @ np.concatenate([self.store[f"{net}.0.W"].data[:k]
-                                     for net, _ in nets], axis=1)
-        a += proj_rows[:, : a.shape[1]]
         outs, lo = [], 0
-        for net, sizes in nets:
-            h = a[:, lo : lo + sizes[1]]
-            lo += sizes[1]
-            if acts is not None:
-                acts.append([])
-            for i in range(1, len(sizes) - 1):
-                np.tanh(h, out=h)
-                if acts is not None:
-                    acts[-1].append(h)
-                h = h @ self.store[f"{net}.{i}.W"].data
-                h += self.store[f"{net}.{i}.b"].data
+        for (w_in, _), *rest in self._layers if marks else self._layers[:1]:
+            h = inputs @ w_in.data[: inputs.shape[1]]
+            h += proj_rows[:, lo : lo + h.shape[1]]
+            lo += h.shape[1]
+            tanh_outs = []
+            for w, b in rest:
+                tanh_outs.append(np.tanh(h, out=h))
+                h = h @ w.data
+                h += b.data
             outs.append(h)
+            if acts is not None:
+                acts.append(tanh_outs)
         return outs[0].ravel(), outs[1] if marks else None
 
     # ---- flow-path construction ---------------------------------------------
@@ -396,8 +403,7 @@ class Model:
         sum_exp = exp_shift.sum(axis=1, keepdims=True)
         rows = np.arange(n)
         l_mark = -(shift[rows, batch.y1] - np.log(sum_exp[:, 0])).sum() / n
-        params = tuple(self.store[f"{net}.{i}.{w}"] for net, sizes in self._nets()
-                       for i in range(len(sizes) - 1) for w in "Wb")
+        params = tuple(p for layers in self._layers for pair in layers for p in pair)
         out = nn.Tensor(l_time + alpha * l_mark, parents=(h_c, *params))
 
         def backward():
@@ -406,13 +412,12 @@ class Model:
             d_logits[rows, batch.y1] -= 1.0
             d_logits *= alpha * g / n
             d_outs = [(2.0 * g / n) * resid[:, None], d_logits]
-            grads, d_first = {}, []
-            for (net, sizes), d, net_acts in zip(self._nets(), d_outs, acts):
-                for i in range(len(sizes) - 2, 0, -1):
-                    a_in = net_acts[i - 1]
-                    grads[f"{net}.{i}.W"] = a_in.T @ d
-                    grads[f"{net}.{i}.b"] = d.sum(axis=0)
-                    d = d @ self.store[f"{net}.{i}.W"].data.T
+            d_first = []
+            for layers, d, net_acts in zip(self._layers, d_outs, acts):
+                for (w, b), a_in in zip(layers[:0:-1], net_acts[::-1]):
+                    w._accum(a_in.T @ d)
+                    b._accum(d.sum(axis=0))
+                    d = d @ w.data.T
                     d *= 1.0 - a_in * a_in
                 d_first.append(d)
             d_a = np.concatenate(d_first, axis=1)
@@ -422,12 +427,10 @@ class Model:
             d_w = np.concatenate([inputs.T @ d_a, h_c.data.T @ d_proj])
             d_b = d_a.sum(axis=0)
             lo = 0
-            for net, sizes in self._nets():
-                cols = slice(lo, lo + sizes[1])
-                lo = cols.stop
-                grads[f"{net}.0.W"], grads[f"{net}.0.b"] = d_w[:, cols], d_b[cols]
-            for path, grad in grads.items():
-                self.store[path]._accum(grad)
+            for (w, b), *_ in self._layers:
+                w._accum(d_w[:, lo : lo + b.shape[0]])
+                b._accum(d_b[lo : lo + b.shape[0]])
+                lo += b.shape[0]
             if h_c.requires_grad:
                 h_c._accum(d_proj @ self._context_weights()[0].T)
 

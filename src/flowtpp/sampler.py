@@ -20,8 +20,8 @@ from .model import Model
 from .nn import softmax
 from .synthgen import categorical_rows
 
-# every generate() call counts its invariant checks here; violations also
-# trip asserts inside the loop
+# every generate() call counts its invariant checks here; a violation also
+# raises NumericalError naming the invariant and the flow time
 INVARIANT_COUNTS = {"checks": 0, "violations": 0}
 
 _T_SINGULARITY = 1e-9
@@ -67,8 +67,7 @@ def mark_probs(logits: np.ndarray, y: np.ndarray, t: float, h: float) -> np.ndar
     else:
         onehot = np.zeros_like(p_t)
         onehot[np.arange(p_t.shape[0]), y] = 1.0
-        u = (p_t - onehot) / (1.0 - t)
-        p_new = np.maximum(onehot + h * u, EPS_PROB)
+        p_new = np.maximum(onehot + h * ((p_t - onehot) / (1.0 - t)), EPS_PROB)
     return p_new / p_new.sum(axis=1, keepdims=True)
 
 
@@ -94,17 +93,15 @@ def flow_step(model, x, y, t: float, proj_rows, u,
     p_new = mark_probs(logits, y, t, h)
     y = categorical_rows(p_new, u)
 
-    x_ok = bool((x >= EPS_TIME).all())
-    p_ok = bool(
-        np.all(np.abs(p_new.sum(axis=1) - 1.0) < 1e-12)
-        and np.all(p_new >= 0)
-    )
-    y_ok = bool(((y >= 0) & (y < logits.shape[1])).all())
+    invariants = (("positivity violated: inter-time below EPS_TIME", (x >= EPS_TIME).all()),
+                  ("simplex violated: redraw distribution not normalized",
+                   (np.abs(p_new.sum(axis=1) - 1.0) < 1e-12).all() and (p_new >= 0).all()),
+                  ("mark out of range after redraw", ((y >= 0) & (y < logits.shape[1])).all()))
+    violated = [what for what, ok in invariants if not ok]
     INVARIANT_COUNTS["checks"] += 3
-    INVARIANT_COUNTS["violations"] += (not x_ok) + (not p_ok) + (not y_ok)
-    assert x_ok, "positivity violated: inter-time below EPS_TIME"
-    assert p_ok, "simplex violated: redraw distribution not normalized"
-    assert y_ok, "mark out of range after redraw"
+    INVARIANT_COUNTS["violations"] += len(violated)
+    if violated:
+        raise NumericalError(f"{'; '.join(violated)} at flow time t={t:.6f}")
     return x, y
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import flowtpp
 from flowtpp import Model, ModelConfig, load_jsonl
-from flowtpp import cli, nn
+from flowtpp import cli, nn, sampler
 from flowtpp.cli import CONFIGS, main
 from flowtpp.errors import NumericalError, ValidationError
 
@@ -516,6 +516,20 @@ class TestSample:
         # the message alone: no numpy warning, no traceback
         assert proc.stderr == ("numerical abort: non-finite vector field at flow "
                                "time t=0.000000\n")
+        assert not out.exists()
+
+    def test_broken_invariant_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      checkpoint, data_path):
+        # a redraw outside the 3 marks breaks the sampler's mark-range check
+        monkeypatch.setattr(sampler, "categorical_rows",
+                            lambda probs, u: np.full(len(u), 7))
+        out = tmp_path / "pred.jsonl"
+        rc = main(["sample", "--checkpoint", checkpoint, "--data", data_path,
+                   "--out", str(out), "--steps", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("numerical abort: mark out of range after redraw at flow "
+                       "time t=0.000000\n")  # the message alone, no traceback
         assert not out.exists()
 
     def test_saturated_overflow_samples_silently(self, tmp_path, data_path):

@@ -289,6 +289,47 @@ class TestForward:
         with pytest.raises(ValidationError, match="vocab"):
             model.predict(np.ones(1), np.array([3]), 0.5, np.zeros((1, 16)))
 
+    @pytest.mark.parametrize("change", ["first-layer-edit", "hidden-layer-edit",
+                                        "adam-step", "load-state"])
+    def test_reads_parameters_at_call_time(self, change):
+        """Whatever sets the parameters, predict equals a model built fresh
+        with the same values: it keeps no copy of a weight array."""
+        cfg = tiny_config(vf_hidden=(8, 8), head_hidden=(8, 8))
+        model = jittered_model(cfg, 4)
+        rng = np.random.default_rng(8)
+        x, y = rng.exponential(1.0, 12), rng.integers(0, 3, 12)
+        proj = rng.normal(size=(12, 16))
+        before = model.predict(x, y, 0.25, proj)
+        if change == "first-layer-edit":  # row 1 of head.0.W reads mark 0
+            model.store["head.0.W"].data.reshape(-1)[1 * 8 + 3] += 0.5
+        elif change == "hidden-layer-edit":
+            model.store["vf.1.W"].data.reshape(-1)[5] += 0.5
+        elif change == "adam-step":
+            for t in model.store.params.values():
+                t.grad = np.full_like(t.data, 0.1)
+            nn.adam_step(model.store, 1e-2)
+        else:
+            model.store.load_state(jittered_model(cfg, 11).store.state_dict())
+        fresh = Model(cfg, init=False)
+        for path, t in fresh.store.params.items():
+            t.data = model.store[path].data.copy()
+        after = model.predict(x, y, 0.25, proj)
+        for got, want in zip(after, fresh.predict(x, y, 0.25, proj)):
+            np.testing.assert_array_equal(got, want)
+        assert not all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("t", [0.625, "rows"])
+    def test_field_only_is_the_full_call_field(self, t):
+        # each net has its own first-layer product, so the two agree bit for bit
+        rng = np.random.default_rng(9)
+        model = jittered_model(ModelConfig(vocab_size=3), 9)
+        x, y = rng.exponential(1.0, 40), rng.integers(0, 3, 40)
+        t = rng.random(40) if t == "rows" else t
+        proj = rng.normal(size=(40, 256))
+        v, _ = model.predict(x, y, t, proj)
+        v_field, _ = model.predict(x, y, t, proj, marks=False)
+        np.testing.assert_array_equal(v_field, v)
+
 
 def jittered_model(cfg, seed):
     """A model whose biases are non-zero too, so every parameter block

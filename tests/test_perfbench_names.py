@@ -76,3 +76,6 @@ def test_tiny_pass_runs_untraced_and_traced(name, tmp_path, monkeypatch):
     layers = worker.per_layer(tr, (after[0] - before[0], after[1] - before[1]))
     bad = {key: value for key, value in layers.items() if not np.isfinite(value)}
     assert not bad, f"non-finite per-layer values: {bad}"
+    # sampling's network time stays inside the Model.predict span
+    assert layers["model.predict.calls"] > 0 and layers["model.predict.rows"] > 0
+    assert layers["sampler.mark_probs.calls"] > 0

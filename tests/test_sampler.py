@@ -1,8 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import flowtpp
 from flowtpp import (
     EventSequence,
     Model,
@@ -237,6 +242,21 @@ class TestMarkProbs:
         np.testing.assert_allclose(p.sum(axis=1), np.ones(40), atol=1e-14)
         assert np.all(p > 0)
 
+    def test_memory_is_rows_times_vocabulary(self, rng):
+        # a large vocabulary must cost a few n x M arrays, never an M x M one
+        n, m = 3, 50_000
+        logits, y = rng.normal(0, 1, size=(n, m)), np.array([0, m // 2, m - 1])
+        tracemalloc.start()
+        try:
+            p = mark_probs(logits, y, 0.25, 0.125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * m * 8
+        np.testing.assert_allclose(p.sum(axis=1), np.ones(n), atol=1e-12)
+        # a step of h / (1 - t) = 1/6 leaves 5/6 of the mass on the current mark
+        assert (p.argmax(axis=1) == y).all()
+
 
 class TestCategoricalRows:
     def test_degenerate_rows(self):
@@ -381,6 +401,27 @@ class TestGenerate:
         generate(net, small_windows(4), SamplerConfig(steps=4))
         assert INVARIANT_COUNTS["checks"] == before["checks"] + 3 * 4
         assert INVARIANT_COUNTS["violations"] == before["violations"]
+
+    def test_broken_invariant_raises_under_optimize(self):
+        # python -O strips asserts; the invariant checks must still raise
+        script = "\n".join([
+            "import numpy as np",
+            "from flowtpp import (Model, ModelConfig, NumericalError, SamplerConfig,",
+            "                     generate, make_windows, sampler, simulate_poisson)",
+            "sampler.categorical_rows = lambda probs, u: np.full(len(u), 7)",
+            "windows = make_windows([simulate_poisson(1.0, [1 / 3] * 3, 10, seed=1)], 4)",
+            "model = Model(ModelConfig(vocab_size=3, d=8, t_embed_dim=4), seed=1)",
+            "try:",
+            "    print(generate(model, windows, SamplerConfig(steps=1)))",
+            "except NumericalError as exc:",
+            "    print(__debug__, exc, sampler.INVARIANT_COUNTS)",
+        ])
+        src = os.path.dirname(os.path.dirname(flowtpp.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("False mark out of range after redraw at flow time "
+                               "t=0.000000 {'checks': 3, 'violations': 1}\n")
 
     # steps of 0.25: 0.375 is the second step's midpoint, 0.5 the third step
     @pytest.mark.parametrize("nan_t", [0.0, 0.375, 0.5])
