@@ -3,9 +3,11 @@
 Times follow a second-order midpoint ODE step with a positivity projection;
 marks follow a clamped simplex-velocity update with a categorical redraw per
 step. All S steps are applied to the whole horizon at once; there is no
-autoregression. Each window draws from its own seeded stream, so serial and
-chunked runs draw the same numbers and differ only in rounding: times agree
-to a relative 1e-12 (README "Determinism").
+autoregression. Contexts are encoded a chunk of windows at a time, and each
+chunk is integrated in cache-sized blocks of rows. Each window draws from its
+own seeded stream, so serial, chunked and blocked runs draw the same numbers
+and differ at most in rounding: times agree to a relative 1e-12 (README
+"Determinism").
 """
 
 from __future__ import annotations
@@ -20,16 +22,23 @@ from .model import Model
 from .nn import softmax
 from .synthgen import categorical_rows
 
-# every generate() call counts its invariant checks here; a violation also
-# raises NumericalError naming the invariant and the flow time
+# every flow_step call, one per block and step, counts its invariant checks
+# here; a violation also raises NumericalError naming the invariant and the
+# flow time
 INVARIANT_COUNTS = {"checks": 0, "violations": 0}
 
 _T_SINGULARITY = 1e-9
 EPS_TIME = 1e-6  # floor of every sampled inter-event time
 EPS_PROB = 1e-5  # floor of each mark's redraw probability before normalizing
-# windows integrated together; each draws from its own stream, so the size
-# changes only rounding: times agree to a relative 1e-12 (README "Determinism")
+# windows encoded together: the GRU costs per step, so it wants wide batches
 CHUNK_SIZE = 256
+# rows integrated together, cut across windows, so the networks' (rows, 128)
+# temporaries stay in a core's L2 cache. Blocks start at multiples of 1024, a
+# multiple of a BLAS kernel's row unroll, so each row meets the kernel it
+# meets in one whole-chunk product. Each window draws from its own stream, so
+# both sizes change at most rounding: times agree to a relative 1e-12 (README
+# "Determinism")
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -109,10 +118,11 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
     """Sample L future (inter-time, mark) pairs for each forecast window.
 
     Per window w (global index i): the context term of the networks is
-    projected once (Model.project_contexts); source noise from
-    Model.draw_noise on stream [seed, 3, i], floored at EPS_TIME; then S
-    flow_steps at flow times k / S, each redrawing the window's marks by L
-    uniforms from the same stream.
+    projected once, a chunk of CHUNK_SIZE windows per Model.project_contexts
+    call; source noise from Model.draw_noise on stream [seed, 3, i], floored
+    at EPS_TIME; then S flow_steps at flow times k / S, each redrawing the
+    window's marks by L uniforms from the same stream. The steps run on one
+    block of BLOCK_ROWS rows of the chunk at a time.
     """
     if not windows:
         return []
@@ -134,10 +144,18 @@ def generate(model: Model, windows, config: SamplerConfig) -> list:
         xs, ys = zip(*(model.draw_noise(w.context, w.horizon, rng, EPS_TIME)
                        for w, rng in zip(chunk, rngs)))
         x, y = np.concatenate(xs), np.concatenate(ys)
-        proj_rows = np.repeat(proj, horizons, axis=0)
-        for k in range(config.steps):
-            u = np.concatenate([rng.random(n) for rng, n in zip(rngs, horizons)])
-            x, y = flow_step(model, x, y, k / config.steps, proj_rows, u, config)
+        # row k holds each window's redraw uniforms of step k: one (S, L)
+        # draw is the S draws of L in stream order
+        u = np.concatenate([rng.random((config.steps, n)) for rng, n in zip(rngs, horizons)],
+                           axis=1)
+        window_of_row = np.repeat(np.arange(len(chunk)), horizons)
+        for lo in range(0, len(x), BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            xb, yb, ub = x[block], y[block], u[:, block]
+            proj_rows = proj[window_of_row[block]]
+            for k in range(config.steps):
+                xb, yb = flow_step(model, xb, yb, k / config.steps, proj_rows, ub[k], config)
+            x[block], y[block] = xb, yb
 
         bounds = np.cumsum([0] + horizons)
         for lo, hi in zip(bounds[:-1], bounds[1:]):

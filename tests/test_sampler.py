@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import flowtpp
 from flowtpp import (
@@ -22,6 +25,7 @@ from flowtpp import (
     simulate_poisson,
 )
 from flowtpp import sampler
+from flowtpp.events import ForecastWindow
 from flowtpp.model import LAMBDA_MIN
 from flowtpp.nn import softmax
 from flowtpp.sampler import (
@@ -103,6 +107,32 @@ def ragged_windows(n, horizon=4, m=3, seed_hi=32):
     seqs = [simulate_poisson(1.0, [1.0 / m] * m, horizon + 1 + i % 7,
                              seed=[seed_hi, 2, i]) for i in range(n)]
     return make_windows(seqs, horizon)
+
+
+def perturbed_model(seed):
+    """A small model whose weights are moved off their init, so every
+    network term reaches the output."""
+    model = Model(ModelConfig(vocab_size=3, horizon=4, d=8, vf_hidden=(16, 8),
+                              head_hidden=(8,)), seed=seed)
+    rng = np.random.default_rng([seed, 7])
+    for t in model.store.params.values():
+        t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
+    return model
+
+
+def generate_with(model, windows, cfg, block_rows=None, chunk_size=None):
+    """generate with BLOCK_ROWS and CHUNK_SIZE patched where given."""
+    with mock.patch.object(sampler, "BLOCK_ROWS", block_rows or sampler.BLOCK_ROWS), \
+            mock.patch.object(sampler, "CHUNK_SIZE", chunk_size or sampler.CHUNK_SIZE):
+        return generate(model, windows, cfg)
+
+
+def assert_same_samples(got, want):
+    """Times equal up to rounding, marks exactly (README "Determinism")."""
+    assert len(got) == len(want)
+    for (x, y), (x_ref, y_ref) in zip(got, want):
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(y, y_ref)
 
 
 class TestSamplerConfig:
@@ -325,18 +355,17 @@ class TestGenerate:
                 out[idx][1], categorical_rows(np.full((4, 3), 1 / 3), replay.random(4)))
         assert len(np.unique(np.concatenate([y for _, y in out]))) == 3
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_tape_reference_loop(self, seed, monkeypatch):
-        cfg_model = ModelConfig(vocab_size=3, horizon=4, d=8, vf_hidden=(16, 8),
-                                head_hidden=(8,))
-        model = Model(cfg_model, seed=seed)
-        rng = np.random.default_rng([seed, 7])
-        for t in model.store.params.values():
-            t.data = t.data + rng.normal(0.0, 0.2, size=t.data.shape)
+    # BLOCK_ROWS of 1 and 6 cut the 4-row windows across blocks; the
+    # default holds a whole chunk
+    @pytest.mark.parametrize("seed, block_rows", [
+        pytest.param(seed, rows, id=f"{seed}" + (f"-rows{rows}" if rows else ""))
+        for rows in (None, 1, 6) for seed in range(3)])
+    def test_matches_tape_reference_loop(self, seed, block_rows):
+        model = perturbed_model(seed)
         windows = ragged_windows(9)
-        monkeypatch.setattr(sampler, "CHUNK_SIZE", 4)  # 9 windows in 3 chunks
         cfg = SamplerConfig(steps=8, seed=seed)
-        got = generate(model, windows, cfg)
+        # 9 windows in 3 chunks
+        got = generate_with(model, windows, cfg, block_rows=block_rows, chunk_size=4)
         want = reference_generate(model, windows, cfg)
         for (x, y), (x_ref, y_ref) in zip(got, want):
             np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
@@ -374,33 +403,75 @@ class TestGenerate:
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
-    def test_chunking_does_not_change_output(self, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [1, 6, None],
+                             ids=["rows1", "rows6", "default"])
+    def test_chunking_does_not_change_output(self, block_rows):
         model = Model(ModelConfig(vocab_size=3, horizon=4, d=8,
                                   vf_hidden=(8,), head_hidden=(8,)), seed=2)
         windows = small_windows(8)
         cfg = SamplerConfig(steps=4, seed=6)
         a = generate(model, windows, cfg)
-        monkeypatch.setattr(sampler, "CHUNK_SIZE", 3)
-        b = generate(model, windows, cfg)
-        for (xa, ya), (xb, yb) in zip(a, b):
-            np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(ya, yb)
+        b = generate_with(model, windows, cfg, block_rows=block_rows, chunk_size=3)
+        assert_same_samples(b, a)
+
+    @given(horizons=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+           block_rows=st.integers(1, 64), chunk_size=st.integers(1, 5))
+    @example(horizons=[3, 3, 2], block_rows=6, chunk_size=5)   # exact fit, then partial
+    @example(horizons=[30, 2, 2], block_rows=5, chunk_size=5)  # a window over six blocks
+    @example(horizons=[4, 4, 4], block_rows=6, chunk_size=5)   # blocks cut windows
+    def test_block_packing_does_not_change_output(self, horizons, block_rows, chunk_size):
+        # every window its own stream: where the block edges fall moves no
+        # draw and changes at most rounding
+        rng = np.random.default_rng(len(horizons))
+        windows = [ForecastWindow(EventSequence(rng.exponential(1.0, 1 + i % 3),
+                                                rng.integers(0, 3, 1 + i % 3), 3),
+                                  EventSequence(np.ones(n), np.zeros(n, dtype=int), 3))
+                   for i, n in enumerate(horizons)]
+        model = perturbed_model(len(horizons) % 3)
+        cfg = SamplerConfig(steps=3, seed=block_rows)
+        got = generate_with(model, windows, cfg, block_rows=block_rows, chunk_size=chunk_size)
+        want = generate_with(model, windows, cfg, block_rows=sum(horizons),
+                             chunk_size=chunk_size)
+        assert_same_samples(got, want)
+
+    def test_memory_is_block_rows_times_width(self):
+        # the networks' temporaries cost a few BLOCK_ROWS x (Hv + Hh)
+        # arrays however many windows a chunk holds; integrating all 128
+        # windows at once holds a (2560, Hv + Hh) proj_rows of 5.2 MB alone
+        windows = make_windows([simulate_poisson(1.0, [0.5, 0.5], 22, seed=[33, 2, i])
+                                for i in range(128)], 20)
+        assert len(windows) == 128 and all(len(w.context) == 2 for w in windows)
+        model = Model(ModelConfig(vocab_size=2, horizon=20), seed=0)
+        width = model.config.vf_hidden[0] + model.config.head_hidden[0]
+        tracemalloc.start()
+        try:
+            generate(model, windows, SamplerConfig(steps=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sampler.BLOCK_ROWS * width * 8
 
     @pytest.mark.parametrize("steps", [3, 7, 10])
     def test_flow_times_lie_on_the_grid(self, steps):
         # step k runs at exactly k / S: summing h = 1/S would drift off the
-        # grid for S not a power of two
-        net = ConstantField(0.0)
-        generate(net, small_windows(2), SamplerConfig(steps=steps))
-        main_times = [t for _, t, marks in net.calls if marks]
-        assert main_times == [k / steps for k in range(steps)]
+        # grid for S not a power of two. Each block walks the whole grid
+        grid = [k / steps for k in range(steps)]
+        for block_rows, blocks in ((None, 1), (5, 2)):  # two 4-row windows
+            net = ConstantField(0.0)
+            generate_with(net, small_windows(2), SamplerConfig(steps=steps),
+                          block_rows=block_rows)
+            main_times = [t for _, t, marks in net.calls if marks]
+            assert main_times == grid * blocks
 
     def test_invariant_counters(self):
-        before = dict(INVARIANT_COUNTS)
-        net = ConstantField(0.0)
-        generate(net, small_windows(4), SamplerConfig(steps=4))
-        assert INVARIANT_COUNTS["checks"] == before["checks"] + 3 * 4
-        assert INVARIANT_COUNTS["violations"] == before["violations"]
+        # three checks per flow_step call, which is per block and step
+        for block_rows, blocks in ((None, 1), (10, 2)):  # four 4-row windows
+            before = dict(INVARIANT_COUNTS)
+            net = ConstantField(0.0)
+            generate_with(net, small_windows(4), SamplerConfig(steps=4),
+                          block_rows=block_rows)
+            assert INVARIANT_COUNTS["checks"] == before["checks"] + 3 * 4 * blocks
+            assert INVARIANT_COUNTS["violations"] == before["violations"]
 
     def test_broken_invariant_raises_under_optimize(self):
         # python -O strips asserts; the invariant checks must still raise
